@@ -10,6 +10,8 @@ let tracer : Tracer.t option ref = ref None
 (* Duration of every kernel indirect-call dispatch, ns. *)
 let dispatch_ns = Meter.Samples.create 4096
 
+let tracing () = Option.is_some !tracer
+
 let span name f =
   match !tracer with None -> f () | Some t -> Tracer.span t (Tracer.intern t name) f
 

@@ -47,7 +47,7 @@ let workloads =
       name = "fuzz_campaign";
       check_ops = 50;
       ledger_ops = 1_500;
-      windows = 3;
+      windows = 4;
       setups_per_cut = 20;
       make = (fun ~oracles ~seed c -> Wl_fuzz.make ~oracles ~seed c);
     };
@@ -64,6 +64,9 @@ type run = {
   failed : int;
   busy_ns : int;  (** time inside operation chunks; generation excluded *)
   lat : Meter.Samples.t;  (** per-operation latency, ns *)
+  chunk : int;  (** operations per chunk *)
+  chunk_ns : Meter.Samples.t;  (** busy ns of each chunk *)
+  cal : Meter.Samples.t;  (** calibration-unit ns, one after each chunk *)
   cuts : (int * int) list;  (** (operations, busy ns) at each window's end *)
   marks : (int * Ledger.t) list;  (** ledger of the first [n] operations, per requested [n] *)
   ledger : Ledger.t;  (** ledger of the whole run *)
@@ -78,6 +81,8 @@ type run = {
    at each cut between two windows. *)
 let drive ?tracer ?(windows = 1) ?(marks = []) ?(between = ignore) (r : Runner.t) ~seconds =
   let lat = Meter.Samples.create (1 lsl 16) in
+  let chunk_ns = Meter.Samples.create 4096 in
+  let cal = Meter.Samples.create 4096 in
   let op_span = Option.map (fun t -> Tracer.intern t "op") tracer in
   let base = r.Runner.ledger () in
   let at = ref [] in
@@ -85,23 +90,26 @@ let drive ?tracer ?(windows = 1) ?(marks = []) ?(between = ignore) (r : Runner.t
   let ops = ref 0 and failed = ref 0 and busy = ref 0 in
   let budget = int_of_float (seconds *. 1e9) in
   let last_mark = List.fold_left max 0 marks in
-  (* what [between] allocates and collects is not the workload's *)
+  (* what generation and [between] allocate and collect is not the workload's *)
   let skipped_bytes = ref 0. and skipped_minor = ref 0. and skipped_major = ref 0 in
-  let heap_peak = ref 0 in
-  let between () =
+  let untimed f =
     let a = Gc.allocated_bytes () and g = Gc.quick_stat () in
-    if !heap_peak = 0 then heap_peak := g.Gc.top_heap_words;
-    between ();
+    f ();
     let g' = Gc.quick_stat () in
     skipped_bytes := !skipped_bytes +. Gc.allocated_bytes () -. a;
     skipped_minor := !skipped_minor +. g'.Gc.minor_words -. g.Gc.minor_words;
     skipped_major := !skipped_major + g'.Gc.major_collections - g.Gc.major_collections
   in
+  let heap_peak = ref 0 in
+  let between () =
+    if !heap_peak = 0 then heap_peak := (Gc.quick_stat ()).Gc.top_heap_words;
+    untimed between
+  in
   let a0 = Gc.allocated_bytes () in
   let g0 = Gc.quick_stat () in
   while !busy < budget || !ops < last_mark do
     r.Runner.refuel ();
-    r.Runner.fill ();
+    untimed r.Runner.fill;
     let t0 = Meter.now_ns () in
     for j = 0 to r.Runner.chunk - 1 do
       let s = Meter.now_ns () in
@@ -113,7 +121,10 @@ let drive ?tracer ?(windows = 1) ?(marks = []) ?(between = ignore) (r : Runner.t
       incr ops;
       if List.mem !ops marks then at := (!ops, Ledger.diff (r.Runner.ledger ()) base) :: !at
     done;
-    busy := !busy + (Meter.now_ns () - t0);
+    let dt = Meter.now_ns () - t0 in
+    busy := !busy + dt;
+    Meter.Samples.add chunk_ns dt;
+    Meter.Samples.add cal (Meter.calib_ns ());
     if List.length !cuts < windows - 1 && !busy >= (List.length !cuts + 1) * (budget / windows)
     then begin
       cuts := (!ops, !busy) :: !cuts;
@@ -126,6 +137,9 @@ let drive ?tracer ?(windows = 1) ?(marks = []) ?(between = ignore) (r : Runner.t
     failed = !failed;
     busy_ns = !busy;
     lat;
+    chunk = r.Runner.chunk;
+    chunk_ns;
+    cal;
     cuts = List.rev ((!ops, !busy) :: !cuts);
     marks = !at;
     ledger = Ledger.diff (r.Runner.ledger ()) base;
@@ -135,26 +149,50 @@ let drive ?tracer ?(windows = 1) ?(marks = []) ?(between = ignore) (r : Runner.t
     major_collections = g1.Gc.major_collections - g0.Gc.major_collections - !skipped_major;
   }
 
-let ops_per_s run = float_of_int run.ops /. (float_of_int run.busy_ns /. 1e9)
 let per_op run x = float_of_int x /. float_of_int run.ops
 
-(* Throughput, p50 and p99 of each window of the run. *)
-let window_stats run =
+(* Each window of the run, at the reference host speed: throughput,
+   p50 and p99 latency, sample count; then the raw throughput and the
+   median calibration, as measured. *)
+type window = { tput : float; p50_us : float; p99_us : float; n : int; raw_tput : float; cal_ns : float }
+
+(* Busy ns of chunks [c0, c1) at the reference host speed, with [f]
+   the run's speed factors. *)
+let scaled_busy run f c0 c1 =
+  let busy = ref 0. in
+  for c = c0 to c1 - 1 do
+    busy := !busy +. (float_of_int (Meter.Samples.get run.chunk_ns c) *. f.(c))
+  done;
+  !busy
+
+let windows run =
+  let f = Meter.speed_factors run.cal in
+  let chunk_of i = i / run.chunk in
   let _, _, rows =
     List.fold_left
       (fun (o0, b0, acc) (o1, b1) ->
         let n = o1 - o0 in
-        let lat = Meter.Samples.sorted ~off:o0 ~len:n run.lat in
-        let row =
-          ( float_of_int n /. (float_of_int (b1 - b0) /. 1e9),
-            Meter.percentile lat 0.50 /. 1e3,
-            Meter.percentile lat 0.99 /. 1e3,
-            n )
+        let lat = Meter.Samples.sorted ~off:o0 ~len:n ~scale:(fun i -> f.(chunk_of i)) run.lat in
+        let cal = Meter.Samples.sorted ~off:(chunk_of o0) ~len:(chunk_of o1 - chunk_of o0) run.cal in
+        let w =
+          {
+            tput = float_of_int n /. (scaled_busy run f (chunk_of o0) (chunk_of o1) /. 1e9);
+            p50_us = Meter.percentile lat 0.50 /. 1e3;
+            p99_us = Meter.percentile lat 0.99 /. 1e3;
+            n;
+            raw_tput = float_of_int n /. (float_of_int (b1 - b0) /. 1e9);
+            cal_ns = Meter.percentile cal 0.5;
+          }
         in
-        (o1, b1, row :: acc))
+        (o1, b1, w :: acc))
       (0, 0, []) run.cuts
   in
   List.rev rows
+
+(* Throughput of the whole run at the reference host speed. *)
+let ops_per_s run =
+  let f = Meter.speed_factors run.cal in
+  float_of_int run.ops /. (scaled_busy run f 0 (Array.length f) /. 1e9)
 
 (* ---- output ---- *)
 
@@ -194,16 +232,15 @@ let check_ledger_file wl ~seed ledger =
 let end_to_end wl ~seed ~seconds =
   let config = Lxfi.Config.lxfi in
   let setup_ns = ref [] in
+  (* each set-up's time is taken at the reference host speed, from
+     calibrations made just before it *)
   let set_up () =
+    let cal = Meter.median_float (List.init 5 (fun _ -> float_of_int (Meter.calib_ns ()))) in
     let t0 = Meter.now_ns () in
     let r = wl.make ~oracles:true ~seed config in
-    setup_ns := float_of_int (Meter.now_ns () - t0) :: !setup_ns;
+    let dt = float_of_int (Meter.now_ns () - t0) in
+    setup_ns := (dt *. Meter.speed_factor cal) :: !setup_ns;
     r
-  in
-  (* The first set-up replays the start of the stream untimed: the
-     measured run below must reproduce its ledger exactly. *)
-  let reference =
-    List.assoc_opt wl.check_ops (drive (set_up ()) ~seconds:0. ~marks:[ wl.check_ops ]).marks
   in
   let r = set_up () in
   (* More set-ups at each cut between windows: the host's speed drifts,
@@ -223,11 +260,20 @@ let end_to_end wl ~seed ~seconds =
   let heap_peak_mb = float_of_int (run.heap_peak_words * (Sys.word_size / 8)) /. 1e6 in
   let principals_end = r.Runner.principals () in
   let slab_live = r.Runner.slab_live () in
-  let ws = window_stats run in
+  (* A second set-up replays the start of the stream, after the
+     measured run so that heap_peak_mb does not see it: it must
+     reproduce the measured run's ledger exactly. *)
+  let reference =
+    List.assoc_opt wl.check_ops (drive (set_up ()) ~seconds:0. ~marks:[ wl.check_ops ]).marks
+  in
+  (* Each timing is the median of the windows, at the reference host
+     speed (see DESIGN.md, "Host speed"): a burst of slow operations the
+     calibration does not follow moves one window, not the result. *)
+  let ws = windows run in
   let med f = Meter.median_float (List.map f ws) in
-  let tput = med (fun (x, _, _, _) -> x) in
-  let p50 = med (fun (_, x, _, _) -> x) and p99 = med (fun (_, _, x, _) -> x) in
-  let min_n = List.fold_left (fun m (_, _, _, n) -> min m n) max_int ws in
+  let tput = med (fun w -> w.tput) and p50 = med (fun w -> w.p50_us) in
+  let p99 = med (fun w -> w.p99_us) in
+  let min_n = List.fold_left (fun m w -> min m w.n) max_int ws in
   let ledger = List.assoc wl.ledger_ops run.marks in
   let same_in_process = reference = List.assoc_opt wl.check_ops run.marks in
   let same_across_runs = check_ledger_file wl ~seed ledger in
@@ -235,9 +281,15 @@ let end_to_end wl ~seed ~seconds =
   let sim_cycles_per_op = float_of_int (Ledger.cycles ledger) /. float_of_int wl.ledger_ops in
   Printf.printf "perfbench %s: seed %d, closed loop, 1 caller, %d ops in %.2f s measured\n" wl.name
     seed run.ops (float_of_int run.busy_ns /. 1e9);
-  Printf.printf "  windows (ops/s, p50 us, p99 us, samples):%s\n"
+  Printf.printf
+    "  windows at reference speed (ops/s, p50 us, p99 us, samples), then as measured (ops/s, \
+     calibration ns):%s\n"
     (String.concat ""
-       (List.map (fun (t, a, b, n) -> Printf.sprintf " [%.1f %.2f %.2f %d]" t a b n) ws));
+       (List.map
+          (fun w ->
+            Printf.sprintf " [%.1f %.2f %.2f %d | %.1f %.0f]" w.tput w.p50_us w.p99_us w.n
+              w.raw_tput w.cal_ns)
+          ws));
   let row name unit v note = Printf.printf "  %-20s %16.4f %-6s %s\n" name v unit note in
   let of_windows = Printf.sprintf "(median of %d windows" wl.windows in
   row "ops_per_s" "1/s" tput (of_windows ^ ")");
@@ -247,6 +299,9 @@ let end_to_end wl ~seed ~seconds =
   row "alloc_bytes_per_op" "B" (run.alloc_bytes /. float_of_int run.ops) "";
   row "heap_peak_mb" "MB" heap_peak_mb "(Gc top_heap_words after set-up and the first window)";
   row "setup_s" "s" setup_s (Printf.sprintf "(median of %d set-ups)" (List.length !setup_ns));
+  Printf.printf "  host speed           calibration unit median %.0f ns (reference %.0f ns), \
+                 as-measured ops/s median %.1f\n"
+    (med (fun w -> w.cal_ns)) Meter.reference_calib_ns (med (fun w -> w.raw_tput));
   row "error_rate" "ratio" (per_op run run.failed)
     (Printf.sprintf "(%d failed of %d)" run.failed run.ops);
   row "sim_cycles_per_op" "cycles" sim_cycles_per_op
@@ -331,6 +386,7 @@ let per_layer_units =
       ("perfbench.untraced_ops_per_s", "1/s");
       ("perfbench.traced_ops_per_s", "1/s");
       ("perfbench.trace_overhead_ratio", "ratio");
+      ("perfbench.host_calib_ns", "ns");
     ]
 
 (* Time inside kernel indirect-call dispatches.  Only dispatch spans
@@ -361,11 +417,14 @@ let traced wl ~seed ~seconds =
   let site = r.Runner.site () in
   let probes = Probes.live site in
   Probes.control config r.Runner.specs site;
-  (* interpreter cost alone: the same stream under Config.stock *)
+  (* interpreter cost alone: the first check_ops operations of the
+     same stream under Config.stock.  A count, not a time: in
+     fuzz_campaign the untimed replay is most of this phase. *)
   let ts = Tracer.create () in
   Instr.tracer := Some ts;
   let stock =
-    drive ~tracer:ts (wl.make ~oracles:false ~seed Lxfi.Config.stock) ~seconds:1.5
+    drive ~tracer:ts (wl.make ~oracles:false ~seed Lxfi.Config.stock) ~seconds:0.
+      ~marks:[ wl.check_ops ]
   in
   Instr.tracer := None;
   let ns_per_step =
@@ -433,6 +492,7 @@ let traced wl ~seed ~seconds =
   set "perfbench.untraced_ops_per_s" (ops_per_s base);
   set "perfbench.traced_ops_per_s" (ops_per_s run);
   set "perfbench.trace_overhead_ratio" (ops_per_s base /. ops_per_s run);
+  set "perfbench.host_calib_ns" (Meter.percentile (Meter.Samples.sorted base.cal) 0.5);
   (* report *)
   Printf.printf "perfbench %s (traced): seed %d, %d ops traced, %d untraced\n" wl.name seed run.ops
     base.ops;
@@ -456,7 +516,7 @@ let traced wl ~seed ~seconds =
   let spans = Filename.concat out_dir (Printf.sprintf "spans-%s-%d.tsv" wl.name seed) in
   Tracer.write t spans;
   Printf.printf "spans written to %s (%d recorded, first %d kept)\n" spans t.Tracer.started
-    t.Tracer.capacity;
+    Tracer.capacity;
   let failed = base.failed + run.failed + stock.failed in
   let attempted = base.ops + run.ops + stock.ops in
   let correct = failed = 0 in

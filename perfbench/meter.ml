@@ -24,11 +24,14 @@ module Samples = struct
 
   let clear t = t.n <- 0
 
-  (* Sorted copy of samples [off, off + len), by default all of them. *)
-  let sorted ?(off = 0) ?len t =
+  let get t i = Array1.get t.a i
+
+  (* Sorted copy of samples [off, off + len), by default all of them,
+     each multiplied by [scale] of its index. *)
+  let sorted ?(off = 0) ?len ?(scale = fun _ -> 1.) t =
     let len = Option.value len ~default:(t.n - off) in
-    let s = Array.init len (fun i -> Array1.get t.a (off + i)) in
-    Array.sort Int.compare s;
+    let s = Array.init len (fun i -> float_of_int (Array1.get t.a (off + i)) *. scale (off + i)) in
+    Array.sort Float.compare s;
     s
 end
 
@@ -42,21 +45,19 @@ let percentile sorted q =
     let lo = int_of_float pos in
     let hi = min (n - 1) (lo + 1) in
     let f = pos -. float_of_int lo in
-    (float_of_int sorted.(lo) *. (1. -. f)) +. (float_of_int sorted.(hi) *. f)
+    (sorted.(lo) *. (1. -. f)) +. (sorted.(hi) *. f)
 
 let median_float xs =
   let a = Array.of_list xs in
   Array.sort Float.compare a;
-  let n = Array.length a in
-  if n = 0 then Float.nan
-  else if n mod 2 = 1 then a.(n / 2)
-  else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+  percentile a 0.5
 
 (* ns per call of [f]: batches of calls sized to about 1 ms, repeated
-   for [budget_s] seconds (at least [min_batches]); the median batch
+   for [budget_s] seconds (at least five batches); the median batch
    mean is reported, which discards batches a GC slice or a scheduler
    tick landed in. *)
-let probe ?(budget_s = 0.05) ?(min_batches = 5) f =
+let probe ?(budget_s = 0.05) f =
+  let min_batches = 5 in
   f ();
   let t0 = now_ns () in
   f ();
@@ -76,6 +77,59 @@ let probe ?(budget_s = 0.05) ?(min_batches = 5) f =
   in
   median_float (go [] 0)
 
+(* Host-speed calibration.  The shared host's speed changes by up to
+   1.9x over seconds and minutes as other tenants come and go.  The
+   calibration unit is a fixed piece of work that uses none of the
+   simulator and does not allocate (so it neither moves the GC nor
+   depends on it): a small dispatch loop over a code array, hash-table
+   lookups and byte-buffer reads and writes.  Its time, measured next to
+   each chunk of operations, tracks how fast the host runs there. *)
+let calib_code = Array.init 4096 (fun i -> (i * 7919) land 7)
+let calib_table = Hashtbl.create 1024
+let () = for k = 0 to 1023 do Hashtbl.replace calib_table k (k * 31) done
+let calib_buf = Bytes.make 4096 '\000'
+
+let calib_unit () =
+  let acc = ref 0 in
+  for i = 0 to 4095 do
+    acc :=
+      match Array.unsafe_get calib_code i with
+      | 0 -> !acc + i
+      | 1 -> !acc lxor (i lsl 3)
+      | 2 -> !acc + Hashtbl.find calib_table (i land 1023)
+      | 3 ->
+          Bytes.set_int64_le calib_buf ((i land 511) * 8) (Int64.of_int !acc);
+          !acc + 1
+      | 4 -> !acc + Int64.to_int (Bytes.get_int64_le calib_buf ((i * 13) land 511 * 8))
+      | 5 -> !acc * 3
+      | 6 -> !acc - (i land 255)
+      | _ -> !acc lsr 1
+  done;
+  !acc
+
+(* ns taken by one calibration unit now. *)
+let calib_ns () =
+  let s = now_ns () in
+  ignore (Sys.opaque_identity (calib_unit ()));
+  now_ns () - s
+
+(* A calibration unit takes about this long when the host is in its
+   fast state; times are reported at this speed. *)
+let reference_calib_ns = 25_000.
+
+(* The factor that turns a time measured while a calibration unit took
+   [cal_ns] into the time at the reference speed. *)
+let speed_factor cal_ns = reference_calib_ns /. cal_ns
+
+(* The speed factor of each chunk of a run, from [cal], one calibration
+   per chunk.  A chunk's calibration is the median of those within 8
+   chunks of it, which discards units a scheduler tick landed in. *)
+let speed_factors (cal : Samples.t) =
+  let n = cal.Samples.n in
+  Array.init n (fun c ->
+      let lo = max 0 (c - 8) and hi = min (n - 1) (c + 8) in
+      speed_factor (percentile (Samples.sorted ~off:lo ~len:(hi - lo + 1) cal) 0.5))
+
 (* The span tracer.  A span has a name, a start, an end and a parent;
    self time is the duration minus the time covered by child spans.
    Aggregates per name are kept for every span; the first [capacity]
@@ -83,6 +137,7 @@ let probe ?(budget_s = 0.05) ?(min_batches = 5) f =
 module Tracer = struct
   let max_names = 256
   let max_depth = 256
+  let capacity = 65536
 
   type t = {
     names : (string, int) Hashtbl.t;
@@ -96,7 +151,6 @@ module Tracer = struct
     st_start : int array;
     st_child : int array;
     mutable depth : int;
-    capacity : int;
     mutable started : int;
     sp_name : int array;
     sp_parent : int array;
@@ -104,7 +158,7 @@ module Tracer = struct
     sp_stop : int array;
   }
 
-  let create ?(capacity = 65536) () =
+  let create () =
     {
       names = Hashtbl.create 64;
       name_of = Array.make max_names "";
@@ -117,7 +171,6 @@ module Tracer = struct
       st_start = Array.make max_depth 0;
       st_child = Array.make max_depth 0;
       depth = 0;
-      capacity;
       started = 0;
       sp_name = Array.make capacity 0;
       sp_parent = Array.make capacity 0;
@@ -147,7 +200,7 @@ module Tracer = struct
     t.st_start.(d) <- start;
     t.st_child.(d) <- 0;
     t.depth <- d + 1;
-    if id < t.capacity then begin
+    if id < capacity then begin
       t.sp_name.(id) <- name;
       t.sp_parent.(id) <- (if d = 0 then -1 else t.st_id.(d - 1));
       t.sp_start.(id) <- start;
@@ -166,7 +219,7 @@ module Tracer = struct
     t.self.(nm) <- t.self.(nm) + dur - t.st_child.(d);
     if d > 0 then t.st_child.(d - 1) <- t.st_child.(d - 1) + dur;
     let id = t.st_id.(d) in
-    if id < t.capacity then t.sp_stop.(id) <- stop;
+    if id < capacity then t.sp_stop.(id) <- stop;
     dur
 
   let span t name f =
@@ -198,7 +251,7 @@ module Tracer = struct
   let write t path =
     let oc = open_out path in
     output_string oc "id\tparent\tname\tstart_ns\tend_ns\n";
-    for id = 0 to min t.started t.capacity - 1 do
+    for id = 0 to min t.started capacity - 1 do
       Printf.fprintf oc "%d\t%d\t%s\t%d\t%d\n" id t.sp_parent.(id) t.name_of.(t.sp_name.(id))
         t.sp_start.(id) t.sp_stop.(id)
     done;

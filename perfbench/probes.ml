@@ -79,11 +79,12 @@ let live (s : Runner.site) =
 
 (* Control-plane calls on fresh systems, recorded as spans: boot,
    install, and — on a second system — the static check, rewrite and
-   load of each module's pristine program, then snapshots of the live
-   module.  The per-layer values are the mean span durations. *)
-let control ?(reps = 5) config (specs : Mod_common.spec list) (s : Runner.site) =
+   load of each module's pristine program (the load rewrites the
+   program again itself), then snapshots of the live module.  Five
+   rounds; the per-layer values are the mean span durations. *)
+let control config (specs : Mod_common.spec list) (s : Runner.site) =
   if specs <> [] then
-    for _ = 1 to reps do
+    for _ = 1 to 5 do
       let sys = Instr.span "kmodules.boot" (fun () -> Ksys.boot config) in
       List.iter
         (fun spec -> ignore (Instr.span "kmodules.install" (fun () -> Mod_common.install sys spec)))

@@ -14,19 +14,9 @@ let run () =
   let sys = Ksys.boot Lxfi.Config.lxfi in
   ignore (Mod_common.install sys Can.spec);
   let fd = Wl_fanout.open_socket sys 0 in
+  let site = Wl_fanout.site_of sys fd in
   let rt = sys.Ksys.rt in
-  let mi = Option.get (Lxfi.Runtime.module_named rt "can") in
-  let types = sys.Ksys.kst.Kstate.types in
-  let site =
-    {
-      Runner.sys;
-      mi;
-      checked_slot = Mod_common.gaddr mi "can_ops" + Ktypes.offset types Sockets.ops_struct "ioctl";
-      checked_ftype = "proto_ops.ioctl";
-      checked_args =
-        [ Int64.of_int (Sockets.sock_of_fd sys.Ksys.sock fd); Int64.of_int Wl_fanout.ioctl_cmd; 0L ];
-    }
-  in
+  let mi = site.Runner.mi in
   let nop = Probes.elided_slot sys in
   let slab = sys.Ksys.kst.Kstate.slab in
   List.concat_map

@@ -37,6 +37,20 @@ let open_socket (sys : Ksys.t) slot =
   end
   else Sockets.sys_socket sock ~family:Sockets.af_rds ~typ:rds_typ
 
+(* The probe site: an ioctl through can's proto_ops slot, which lives
+   in .data, so a kernel call through it takes the checked path. *)
+let site_of (sys : Ksys.t) fd : Runner.site =
+  let mi = Option.get (Lxfi.Runtime.module_named sys.Ksys.rt "can") in
+  let types = sys.Ksys.kst.Kstate.types in
+  {
+    Runner.sys;
+    mi;
+    checked_slot = Mod_common.gaddr mi "can_ops" + Ktypes.offset types Sockets.ops_struct "ioctl";
+    checked_ftype = "proto_ops.ioctl";
+    checked_args =
+      [ Int64.of_int (Sockets.sock_of_fd sys.Ksys.sock fd); Int64.of_int ioctl_cmd; 0L ];
+  }
+
 let setup config =
   let sys = Instr.span "kmodules.boot" (fun () -> Ksys.boot config) in
   List.iter
@@ -122,19 +136,6 @@ let make ~seed config : Runner.t =
         fds.(slot.(j)) <- fd';
         fd' >= 0
   in
-  let site () =
-    let rt = sys.Ksys.rt in
-    let mi = Option.get (Lxfi.Runtime.module_named rt "can") in
-    let types = sys.Ksys.kst.Kstate.types in
-    {
-      Runner.sys;
-      mi;
-      checked_slot = Mod_common.gaddr mi "can_ops" + Ktypes.offset types Sockets.ops_struct "ioctl";
-      checked_ftype = "proto_ops.ioctl";
-      checked_args =
-        [ Int64.of_int (Sockets.sock_of_fd sock fds.(0)); Int64.of_int ioctl_cmd; 0L ];
-    }
-  in
   {
     Runner.chunk;
     fill;
@@ -143,7 +144,7 @@ let make ~seed config : Runner.t =
     refuel = (fun () -> Runner.refuel_all sys);
     principals = (fun () -> Runner.principals_of sys);
     slab_live = (fun () -> Runner.slab_live_of sys);
-    site;
+    site = (fun () -> site_of sys fds.(0));
     specs = [ Can.spec; Rds.spec ];
     extra = (fun () -> []);
   }

@@ -5,11 +5,12 @@
    traced reconciliation), then run [mutants_per_case] mutants across
    the twelve classes and take each verdict.
 
-   The harness boots its systems privately, so the case adds one
-   replay of the clean module under the workload's config on a system
-   the benchmark boots itself: check, rewrite, load, init, drive and
-   snapshot, each timed from outside.  The replay's counters are the
-   workload's simulated ledger. *)
+   The harness boots its systems privately, so before each case is
+   timed the benchmark replays the clean module under the workload's
+   config on a system it boots itself: check, load, init and drive.
+   The replay's counters are the workload's simulated ledger; it is
+   not part of the operation.  A traced run also times a rewrite and a
+   snapshot of each replayed module there. *)
 
 open Kernel_sim
 open Kmodules
@@ -44,7 +45,6 @@ let replay config (case : Fuzz.Gen.case) acc =
         Instr.span "check.module" (fun () ->
             Check.Finding.errors (Check.Checker.check_module (Lxfi.Loader.check_env rt) prog))
       in
-      ignore (Instr.span "lxfi.rewrite" (fun () -> Lxfi.Rewriter.instrument rt.Lxfi.Runtime.config prog));
       let mi, _report = Instr.span "lxfi.load" (fun () -> Lxfi.Loader.load rt prog) in
       let ok = ref (errors = 0) in
       let value f = match f () with (_ : int64) -> () | exception _ -> ok := false in
@@ -60,13 +60,16 @@ let replay config (case : Fuzz.Gen.case) acc =
               invoke "peer" [ 0x7002L; n ];
               value (fun () -> Kstate.call_ptr sys.Ksys.kst ~slot:kslot ~ftype:"fuzz.cb" [ n ]))
             case.Fuzz.Gen.c_inputs);
-      ignore (Instr.span "lxfi.snapshot" (fun () -> Lxfi.Snapshot.capture rt mi));
+      if Instr.tracing () then begin
+        ignore (Instr.span "lxfi.rewrite" (fun () -> Lxfi.Rewriter.instrument rt.Lxfi.Runtime.config prog));
+        ignore (Instr.span "lxfi.snapshot" (fun () -> Lxfi.Snapshot.capture rt mi))
+      end;
       let d = Ledger.diff (Ledger.read sys) base in
       Ledger.add_into acc d;
       ({ sys; mi }, !ok && d.(Ledger.violations) = 0))
 
 (* [oracles] is false for the stock-config phase that measures the
-   interpreter alone: the case is then generation plus the replay. *)
+   interpreter alone: the operation is then generation only. *)
 let make ~oracles ~seed config : Runner.t =
   let canary_addr = Fuzz.Harness.canary_addr_of Fuzz.Harness.mutant_config in
   let first, _ = boot config in
@@ -74,25 +77,32 @@ let make ~oracles ~seed config : Runner.t =
   let acc = Ledger.zero () in
   let next = ref 1 in
   let case_ix = ref 0 in
+  let replay_ok = ref true in
   let mutants = ref 0 and detected = ref 0 in
-  let fill () =
-    case_ix := !next;
-    incr next
-  in
-  let step _ =
+  let draw () =
     let rng = Fuzz.Rng.create ~seed:(Fuzz.Rng.derive seed !case_ix) in
     let rand = Fuzz.Rng.rand rng in
-    let case, classes =
-      Instr.span "fuzz.gen" (fun () ->
-          let case = Fuzz.Gen.case_of_rand rand in
-          (case, Fuzz.Mutate.select ~rand ~count:mutants_per_case))
-    in
+    let case = Fuzz.Gen.case_of_rand rand in
+    (case, Fuzz.Mutate.select ~rand ~count:mutants_per_case)
+  in
+  (* Untimed: draw the next case and replay it for the ledger. *)
+  let fill () =
+    case_ix := !next;
+    incr next;
+    let case, _ = draw () in
+    replay_ok :=
+      match replay config case acc with
+      | r, ok ->
+          last := Some r;
+          ok
+      | exception _ -> false
+  in
+  let step _ =
+    let case, classes = Instr.span "fuzz.gen" draw in
     let clean_ok =
       (not oracles)
       || Instr.span "fuzz.clean_oracle" (fun () -> Fuzz.Harness.clean_failure ~trace:true case) = None
     in
-    let r, replay_ok = replay config case acc in
-    last := Some r;
     let mutants_ok =
       (not oracles)
       || List.for_all
@@ -110,7 +120,7 @@ let make ~oracles ~seed config : Runner.t =
                      Fuzz.Harness.mutant_verdict m res = None))
            classes
     in
-    clean_ok && replay_ok && mutants_ok
+    !replay_ok && clean_ok && mutants_ok
   in
   let live () = match !last with Some r -> r.sys | None -> first in
   let site () =
