@@ -122,8 +122,8 @@ let find_write_covering t ~addr =
 let intersects e ~base ~size = e.base < base + size && base < e.base + e.size
 
 (** [remove_write_intersecting t ~base ~size] removes every WRITE entry
-    that overlaps [base, base+size); returns how many distinct entries
-    were removed.  Used by transfer actions, which revoke from {e all}
+    that overlaps [base, base+size) and returns the distinct entries
+    removed.  Used by transfer actions, which revoke from {e all}
     principals so that no copies survive (§3.3). *)
 let remove_write_intersecting t ~base ~size =
   t.last_hit <- None;
@@ -159,10 +159,15 @@ let remove_write_intersecting t ~base ~size =
   (* A big (blanket) range is only revoked when the revocation range
      contains it entirely: a transfer of one small object must not
      strip a module's user-space window. *)
-  let contained e = e.base >= base && e.base + e.size <= base + size in
-  let nbig = List.length (List.filter contained t.big) in
-  t.big <- List.filter (fun e -> not (contained e)) t.big;
-  List.length !victims + nbig
+  (* Most tables a revocation visits hold no big range: allocate nothing
+     for them. *)
+  if t.big = [] then !victims
+  else begin
+    let contained e = e.base >= base && e.base + e.size <= base + size in
+    let gone, kept = List.partition contained t.big in
+    t.big <- kept;
+    gone @ !victims
+  end
 
 (** Distinct WRITE entries (each range counted once). *)
 let fold_writes t f acc =

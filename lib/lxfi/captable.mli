@@ -28,6 +28,12 @@ val big_range_pages : int
 
 val create : unit -> t
 
+val slots_of : base:int -> size:int -> int * int
+(** First and last page slot of [base, base+size). *)
+
+val is_big : base:int -> size:int -> bool
+(** Does the range go on the linear list rather than the page slots? *)
+
 (** {1 WRITE capabilities} *)
 
 val add_write : t -> base:int -> size:int -> unit
@@ -47,11 +53,11 @@ val find_write_covering : t -> addr:int -> wentry option
 (** The entry covering the single address [addr], if any (used to
     answer "who wrote this function-pointer slot"). *)
 
-val remove_write_intersecting : t -> base:int -> size:int -> int
+val remove_write_intersecting : t -> base:int -> size:int -> wentry list
 (** Remove every WRITE entry overlapping [base, base+size) — transfer
     semantics (§3.3).  A blanket ("big") range is only removed when the
-    revocation range contains it entirely.  Returns the number of
-    distinct entries removed. *)
+    revocation range contains it entirely.  Returns the distinct entries
+    removed. *)
 
 val fold_writes : t -> ('a -> base:int -> size:int -> 'a) -> 'a -> 'a
 (** Fold over distinct WRITE entries (each range visited once). *)

@@ -344,7 +344,7 @@ let load (rt : Runtime.t) (prog : Mir.Ast.prog) : Runtime.module_info * Rewriter
       ~stack_base ~stack_len
   in
   mi.Runtime.mi_ctx <- Some ctx;
-  Hashtbl.replace rt.Runtime.modules mname mi;
+  Runtime.register_module rt mi;
   Klog.info "loaded module %s (%d functions, %d globals, mode %s)" mname nfuncs
     (List.length prog.Mir.Ast.globals)
     (Config.mode_name rt.Runtime.config.Config.mode);

@@ -29,6 +29,10 @@ type t = {
       (** nesting depth of kernel-entered activations running as this
           principal (used to save/restore [flow_pos] around nested
           entries) *)
+  mutable registered : bool;
+      (** the principal belongs to a module registered in the runtime
+          (it is one of [Runtime.all_principals]); only registered
+          principals appear in the runtime's holder index *)
 }
 
 let counter = ref 0
@@ -36,7 +40,7 @@ let counter = ref 0
 let make ~kind ~owner ~primary_name =
   incr counter;
   { id = !counter; kind; owner; primary_name; caps = Captable.create ();
-    quarantined = None; flow_pos = None; flow_depth = 0 }
+    quarantined = None; flow_pos = None; flow_depth = 0; registered = false }
 
 let describe t =
   match t.kind with

@@ -26,6 +26,11 @@ type t = {
   mutable flow_depth : int;
       (** nesting depth of kernel-entered activations running as this
           principal; maintained by [Runtime.invoke_module_function] *)
+  mutable registered : bool;
+      (** the principal belongs to a module registered in the runtime
+          (it is one of [Runtime.all_principals]); maintained by
+          [Runtime]: only registered principals are in its holder
+          index *)
 }
 
 val make : kind:kind -> owner:string -> primary_name:int -> t

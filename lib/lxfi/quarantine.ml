@@ -30,7 +30,7 @@ let quarantine_principal (rt : Runtime.t) (p : Principal.t) ~reason =
   | Some _ -> ()
   | None ->
       p.Principal.quarantined <- Some reason;
-      Captable.clear p.Principal.caps;
+      Runtime.clear_caps rt p;
       rt.Runtime.stats.Stats.quarantines <- rt.Runtime.stats.Stats.quarantines + 1;
       let d =
         Diag.make

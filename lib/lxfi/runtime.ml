@@ -90,6 +90,10 @@ type t = {
   registry : Annot.Registry.t;
   stats : Stats.t;
   wset : Writer_set.t;
+  holders : Holders.t;
+      (** capability cell -> registered principals holding it; kept
+          equal to the tables by {!add_cap}, {!revoke_from_all} and
+          {!clear_caps} *)
   modules : (string, module_info) Hashtbl.t;
   kexports : (string, kexport) Hashtbl.t;
   kexport_by_addr : (int, kexport) Hashtbl.t;
@@ -156,6 +160,7 @@ let create ~kst ~(config : Config.t) =
       registry;
       stats = Stats.create ();
       wset = Writer_set.create ();
+      holders = Holders.create ();
       modules = Hashtbl.create 16;
       kexports = Hashtbl.create 64;
       kexport_by_addr = Hashtbl.create 64;
@@ -192,6 +197,55 @@ let where_of mi =
       Some (Printf.sprintf "%s@%d" ctx.Mir.Interp.cur_fn ctx.Mir.Interp.steps)
   | _ -> None
 
+(** {1 Capability tables and the holder index}
+
+    Every change to a principal's capability table goes through
+    {!add_cap}, {!revoke_from_all} or {!clear_caps}.  They keep
+    [rt.holders] equal to the tables of the registered principals —
+    those of the modules in [rt.modules], the set {!all_principals}
+    walks — so the queries that used to walk every principal read only
+    the holders of one cell. *)
+
+(** [add_cap rt p c] — the raw insert behind {!grant} and snapshot
+    restore: the table insert, the writer-set mark for non-user WRITE
+    ranges, and the index update.  No stats, no fault injection, no
+    trace. *)
+let add_cap rt (p : Principal.t) (c : Capability.t) =
+  let indexed = p.Principal.registered in
+  match c with
+  | Capability.Cwrite { base; size } ->
+      Captable.add_write p.Principal.caps ~base ~size;
+      (* User-space windows are not writer-set-marked: the kernel never
+         loads function pointers it will call from user memory (and a
+         corrupted slot pointing *into* user space is caught by the
+         CALL-capability check on the slot's own writers). *)
+      if not (Kmem.Layout.is_user base) then Writer_set.mark_range rt.wset ~base ~size;
+      if indexed then Holders.add_write rt.holders p ~base ~size
+  | Capability.Cref { rtype; addr } ->
+      Captable.add_ref p.Principal.caps ~rtype ~addr;
+      if indexed then Holders.add_ref rt.holders p ~rtype ~addr
+  | Capability.Ccall { target } ->
+      Captable.add_call p.Principal.caps ~target;
+      if indexed then Holders.add_call rt.holders p ~target
+
+(** [clear_caps rt p] drops every capability [p] holds — the quarantine
+    and retirement revocation primitive. *)
+let clear_caps rt (p : Principal.t) =
+  if p.Principal.registered then Holders.remove_all rt.holders p;
+  Captable.clear p.Principal.caps
+
+(** [register_module rt mi] adds [mi] to [rt.modules] and indexes the
+    capabilities its principals were granted while it was loading. *)
+let register_module rt mi =
+  Hashtbl.replace rt.modules mi.mi_name mi;
+  List.iter
+    (fun (p : Principal.t) ->
+      if not p.Principal.registered then begin
+        p.Principal.registered <- true;
+        Holders.add_all rt.holders p
+      end)
+    mi.mi_principals
+
 (** [retire_module rt mi] pulls every kernel-callable address the
     module registered out of the dispatch tables, records it in
     [rt.retired], and empties every principal's capability table —
@@ -208,9 +262,18 @@ let retire_module rt mi =
       Hashtbl.remove rt.func_ahash_by_addr addr;
       Hashtbl.replace rt.retired addr mi.mi_name)
     mi.mi_func_addr;
-  List.iter
-    (fun (p : Principal.t) -> Captable.clear p.Principal.caps)
-    mi.mi_principals;
+  List.iter (clear_caps rt) mi.mi_principals;
+  (* Unregister whatever leaves [rt.modules] under this name. *)
+  (match Hashtbl.find_opt rt.modules mi.mi_name with
+  | Some gone ->
+      List.iter
+        (fun (p : Principal.t) ->
+          if p.Principal.registered then begin
+            Holders.remove_all rt.holders p;
+            p.Principal.registered <- false
+          end)
+        gone.mi_principals
+  | None -> ());
   Hashtbl.remove rt.modules mi.mi_name
 
 (** {1 Kernel exports and capability iterators} *)
@@ -294,6 +357,17 @@ let find_kexport rt name =
 let all_principals rt =
   Hashtbl.fold (fun _ mi acc -> mi.mi_principals @ acc) rt.modules []
 
+(** The registered principals whose tables hold something in the cell
+    [c] falls in: for WRITE, the page slot of its base plus the holders
+    of a blanket range.  A superset of those holding [c] itself. *)
+let cell_holders rt (c : Capability.t) =
+  match c with
+  | Capability.Cwrite { base; _ } ->
+      Holders.write_slot rt.holders (base lsr Captable.slot_shift)
+      @ Holders.big rt.holders
+  | Capability.Cref { rtype; addr } -> Holders.ref_ rt.holders ~rtype ~addr
+  | Capability.Ccall { target } -> Holders.call rt.holders ~target
+
 (** Capability ownership with the implicit-access rules of §3.1:
     instance principals see the shared principal's capabilities; the
     global principal sees everything the module holds. *)
@@ -316,10 +390,14 @@ let principal_has rt (p : Principal.t) (c : Capability.t) : bool =
             mi.mi_shared.Principal.quarantined = None
             && table_has mi.mi_shared.Principal.caps
         | Principal.Global ->
+            (* The module's registered principals are exactly the
+               registered holders owned by it. *)
             List.exists
               (fun (q : Principal.t) ->
-                q.Principal.quarantined = None && table_has q.Principal.caps)
-              mi.mi_principals)
+                String.equal q.Principal.owner mi.mi_name
+                && q.Principal.quarantined = None
+                && table_has q.Principal.caps)
+              (cell_holders rt c))
 
 (** [has_write_covering rt p ~addr ~size] — like [principal_has] for a
     WRITE query at an interior address. *)
@@ -341,33 +419,40 @@ let grant ?(ctx = "") rt (p : Principal.t) (c : Capability.t) =
   if not dropped then begin
     rt.stats.Stats.caps_granted <- rt.stats.Stats.caps_granted + 1;
     if !Trace.on then Trace.emit (Trace.Cap (Trace.Grant, Capability.to_string c, ctx));
-    match c with
-    | Capability.Cwrite { base; size } ->
-        Captable.add_write p.Principal.caps ~base ~size;
-        (* User-space windows are not writer-set-marked: the kernel never
-           loads function pointers it will call from user memory (and a
-           corrupted slot pointing *into* user space is caught by the
-           CALL-capability check on the slot's own writers). *)
-        if not (Kmem.Layout.is_user base) then Writer_set.mark_range rt.wset ~base ~size
-    | Capability.Cref { rtype; addr } -> Captable.add_ref p.Principal.caps ~rtype ~addr
-    | Capability.Ccall { target } -> Captable.add_call p.Principal.caps ~target
+    add_cap rt p c
   end
 
 (** [revoke_from_all rt c] removes [c] (and for WRITE, anything
     intersecting its range) from every principal in the system — the
     transfer semantics of §3.3 that guarantee no stale copies survive
-    object reuse. *)
+    object reuse.  Only the holders of the cells [c] touches are
+    visited, and each is dropped from the cells it no longer occupies. *)
 let revoke_from_all ?(ctx = "") rt (c : Capability.t) =
   rt.stats.Stats.caps_revoked <- rt.stats.Stats.caps_revoked + 1;
   if !Trace.on then Trace.emit (Trace.Cap (Trace.Revoke, Capability.to_string c, ctx));
-  List.iter
-    (fun (p : Principal.t) ->
-      match c with
-      | Capability.Cwrite { base; size } ->
-          ignore (Captable.remove_write_intersecting p.Principal.caps ~base ~size)
-      | Capability.Cref { rtype; addr } -> Captable.remove_ref p.Principal.caps ~rtype ~addr
-      | Capability.Ccall { target } -> Captable.remove_call p.Principal.caps ~target)
-    (all_principals rt)
+  let h = rt.holders in
+  match c with
+  | Capability.Cwrite { base; size } ->
+      let revoke (p : Principal.t) =
+        List.iter (Holders.prune_write h p)
+          (Captable.remove_write_intersecting p.Principal.caps ~base ~size)
+      in
+      let first, last = Captable.slots_of ~base ~size in
+      for s = first to last do
+        List.iter revoke (Holders.write_slot h s)
+      done;
+      (* Only a range this large can contain a blanket one. *)
+      if Captable.is_big ~base ~size then List.iter revoke (Holders.big h)
+  | Capability.Cref { rtype; addr } ->
+      List.iter
+        (fun (p : Principal.t) -> Captable.remove_ref p.Principal.caps ~rtype ~addr)
+        (Holders.ref_ h ~rtype ~addr);
+      Holders.clear_ref h ~rtype ~addr
+  | Capability.Ccall { target } ->
+      List.iter
+        (fun (p : Principal.t) -> Captable.remove_call p.Principal.caps ~target)
+        (Holders.call h ~target);
+      Holders.clear_call h ~target
 
 (** {1 Principal management} *)
 
@@ -378,6 +463,7 @@ let find_or_create_instance _rt mi ~name_ptr =
       let p =
         Principal.make ~kind:Principal.Instance ~owner:mi.mi_name ~primary_name:name_ptr
       in
+      p.Principal.registered <- mi.mi_shared.Principal.registered;
       mi.mi_principals <- p :: mi.mi_principals;
       Hashtbl.replace mi.mi_aliases name_ptr p;
       Klog.debug "new principal %s" (Principal.describe p);
@@ -753,18 +839,25 @@ let guard_indcall rt mi ~target =
 
 (** {1 Kernel-side indirect-call checking (§4.1)} *)
 
-(** Writer principals of a memory word: every principal holding a WRITE
-    capability covering it (computed by walking the global principal
-    list, as in the paper). *)
+(** Writer principals of a memory word: every registered principal
+    holding a WRITE capability covering it, in ascending principal id.
+    The paper walks the global principal list; here only the holders of
+    the word's page slot and of the blanket ranges are examined. *)
 let writers_of rt ~addr =
-  List.filter
-    (fun (p : Principal.t) ->
-      Captable.has_write p.Principal.caps ~addr ~size:1
-      ||
-      match Captable.find_write_covering p.Principal.caps ~addr with
-      | Some _ -> true
-      | None -> false)
-    (all_principals rt)
+  let covers (p : Principal.t) =
+    Option.is_some (Captable.find_write_covering p.Principal.caps ~addr)
+  in
+  let rec merge a b =
+    match (a, b) with
+    | [], l | l, [] -> l
+    | (p : Principal.t) :: a', (q : Principal.t) :: b' ->
+        if p == q then p :: merge a' b'
+        else if p.Principal.id < q.Principal.id then p :: merge a' b
+        else q :: merge a b'
+  in
+  merge
+    (List.filter covers (Holders.write_slot rt.holders (addr lsr Captable.slot_shift)))
+    (List.filter covers (Holders.big rt.holders))
 
 (** The checking dispatcher installed as [Kstate.indcall] under LXFI.
     Implements [lxfi_check_indcall(pptr, ahash)]:

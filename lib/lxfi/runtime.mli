@@ -79,6 +79,9 @@ type t = {
   registry : Annot.Registry.t;  (** function-pointer slot types *)
   stats : Stats.t;
   wset : Writer_set.t;
+  holders : Holders.t;
+      (** capability cell -> registered principals holding it (see
+          {!add_cap}) *)
   modules : (string, module_info) Hashtbl.t;
   kexports : (string, kexport) Hashtbl.t;
   kexport_by_addr : (int, kexport) Hashtbl.t;
@@ -131,6 +134,30 @@ val module_named : t -> string -> module_info option
 val where_of : module_info -> string option
 (** Fault location of the module's innermost executing function, e.g.
     ["entry@1234"] (function name @ interpreter step count). *)
+
+(** {1 Capability tables}
+
+    Every change to a principal's capability table goes through
+    {!add_cap}, {!revoke_from_all} or {!clear_caps}: they keep the
+    holder index [holders] equal to the tables of the registered
+    principals (those of the modules in [modules], the set
+    {!all_principals} returns), which is what {!writers_of},
+    {!revoke_from_all} and the global principal's {!principal_has}
+    read instead of walking every principal. *)
+
+val add_cap : t -> Principal.t -> Capability.t -> unit
+(** The raw insert behind {!grant} and snapshot restore: the table
+    insert, the writer-set mark for non-user WRITE ranges and the index
+    update.  No stats, no fault injection, no trace. *)
+
+val clear_caps : t -> Principal.t -> unit
+(** Drop every capability the principal holds — the quarantine and
+    retirement revocation primitive. *)
+
+val register_module : t -> module_info -> unit
+(** Add the module to [modules], registering its principals and
+    indexing what they were granted while it loaded ([Loader.load]'s
+    last step). *)
 
 val retire_module : t -> module_info -> unit
 (** Pull every kernel-callable address the module registered out of the
@@ -213,17 +240,19 @@ val grant : ?ctx:string -> t -> Principal.t -> Capability.t -> unit
 
 val revoke_from_all : ?ctx:string -> t -> Capability.t -> unit
 (** Remove the capability — for WRITE, anything intersecting its
-    range — from {e every} principal in the system (§3.3 transfer
-    semantics).  [ctx] as in {!grant}. *)
+    range — from {e every} registered principal (§3.3 transfer
+    semantics).  Only the holders of the cells it touches are visited.
+    [ctx] as in {!grant}. *)
 
 val find_or_create_instance : t -> module_info -> name_ptr:int -> Principal.t
 (** The principal named by [name_ptr], following aliases; created on
     first use. *)
 
 val writers_of : t -> addr:int -> Principal.t list
-(** Principals holding a WRITE capability covering [addr] (the writer
-    set, computed by walking the global principal list as in the
-    paper). *)
+(** Registered principals holding a WRITE capability covering [addr],
+    in ascending principal id.  Read from the holder index: only the
+    holders of [addr]'s page slot and of the blanket ranges are
+    examined, and no principal's guard cache is touched. *)
 
 (** {1 Wrappers and guards} *)
 

@@ -178,20 +178,13 @@ let principal_of_pstate rt (mi : Runtime.module_info) (ps : pstate) : Principal.
       | Some p -> p
       | None -> Runtime.find_or_create_instance rt mi ~name_ptr:ps.ps_name)
 
-(** Raw capability re-add: straight table inserts plus the writer-set
-    marking a real grant would perform.  No stats, no fault injection,
-    no trace — restore must be exact and silent. *)
-let readd_caps rt (p : Principal.t) (ps : pstate) =
-  List.iter
-    (fun (base, size) ->
-      Captable.add_write p.Principal.caps ~base ~size;
-      if not (Kmem.Layout.is_user base) then
-        Writer_set.mark_range rt.Runtime.wset ~base ~size)
-    ps.ps_writes;
-  List.iter (fun target -> Captable.add_call p.Principal.caps ~target) ps.ps_calls;
-  List.iter
-    (fun (rtype, addr) -> Captable.add_ref p.Principal.caps ~rtype ~addr)
-    ps.ps_refs
+(** A captured principal's capabilities: WRITEs, then CALLs, then REFs.
+    Restore re-adds them through [Runtime.add_cap]: no stats, no fault
+    injection, no trace — restore must be exact and silent. *)
+let caps_of_pstate ps =
+  List.map (fun (base, size) -> Capability.Cwrite { base; size }) ps.ps_writes
+  @ List.map (fun target -> Capability.Ccall { target }) ps.ps_calls
+  @ List.map (fun (rtype, addr) -> Capability.Cref { rtype; addr }) ps.ps_refs
 
 (* A restored flow position is re-validated against the target
    module's enforced graph: a position the new graph does not even
@@ -226,8 +219,8 @@ let restore (rt : Runtime.t) (mi : Runtime.module_info) (t : t) : unit =
   List.iter
     (fun ps ->
       let p = principal_of_pstate rt mi ps in
-      Captable.clear p.Principal.caps;
-      readd_caps rt p ps;
+      Runtime.clear_caps rt p;
+      List.iter (Runtime.add_cap rt p) (caps_of_pstate ps);
       p.Principal.quarantined <- ps.ps_quarantined;
       p.Principal.flow_pos <- flow_of_pstate mi ps)
     t.sn_principals;
@@ -242,47 +235,35 @@ type filter = {
 
 type restore_report = { rr_restored : int; rr_dropped : int }
 
+let keeps (f : filter) = function
+  | Capability.Cwrite { base; size } -> f.keep_write ~base ~size
+  | Capability.Ccall { target } -> f.keep_call ~target
+  | Capability.Cref { rtype; addr } -> f.keep_ref ~rtype ~addr
+
 let restore_filtered (rt : Runtime.t) (mi : Runtime.module_info) (t : t)
     (f : filter) : restore_report =
   let restored = ref 0 and dropped = ref 0 in
-  let count keep = if keep then incr restored else incr dropped in
-  let ncaps ps =
-    List.length ps.ps_writes + List.length ps.ps_calls + List.length ps.ps_refs
-  in
   List.iter
     (fun ps ->
+      let caps = caps_of_pstate ps in
       (* Quarantined principals stay revoked: the compatibility filter
          never resurrects what containment removed. *)
       if ps.ps_quarantined = None then
         if ps.ps_kind = Principal.Instance && not f.keep_instances then
-          dropped := !dropped + ncaps ps
+          dropped := !dropped + List.length caps
         else begin
           let p = principal_of_pstate rt mi ps in
           p.Principal.flow_pos <- flow_of_pstate mi ps;
           List.iter
-            (fun (base, size) ->
-              let keep = f.keep_write ~base ~size in
-              count keep;
-              if keep then begin
-                Captable.add_write p.Principal.caps ~base ~size;
-                if not (Kmem.Layout.is_user base) then
-                  Writer_set.mark_range rt.Runtime.wset ~base ~size
-              end)
-            ps.ps_writes;
-          List.iter
-            (fun target ->
-              let keep = f.keep_call ~target in
-              count keep;
-              if keep then Captable.add_call p.Principal.caps ~target)
-            ps.ps_calls;
-          List.iter
-            (fun (rtype, addr) ->
-              let keep = f.keep_ref ~rtype ~addr in
-              count keep;
-              if keep then Captable.add_ref p.Principal.caps ~rtype ~addr)
-            ps.ps_refs
+            (fun c ->
+              if keeps f c then begin
+                incr restored;
+                Runtime.add_cap rt p c
+              end
+              else incr dropped)
+            caps
         end
-      else dropped := !dropped + ncaps ps)
+      else dropped := !dropped + List.length caps)
     t.sn_principals;
   List.iter (restore_global rt mi) t.sn_globals;
   { rr_restored = !restored; rr_dropped = !dropped }

@@ -27,7 +27,7 @@ let test_write_spanning_pages () =
 let test_write_removal_spanning () =
   let t = Captable.create () in
   Captable.add_write t ~base:0x3ff0 ~size:0x2020;
-  let removed = Captable.remove_write_intersecting t ~base:0x5000 ~size:8 in
+  let removed = List.length (Captable.remove_write_intersecting t ~base:0x5000 ~size:8) in
   Alcotest.(check int) "removed once" 1 removed;
   Alcotest.(check bool) "gone from every slot" false
     (Captable.has_write t ~addr:0x3ff0 ~size:8);
@@ -37,7 +37,7 @@ let test_write_intersecting_removal () =
   let t = Captable.create () in
   Captable.add_write t ~base:0x1000 ~size:64;
   Captable.add_write t ~base:0x1100 ~size:64;
-  let removed = Captable.remove_write_intersecting t ~base:0x1020 ~size:8 in
+  let removed = List.length (Captable.remove_write_intersecting t ~base:0x1020 ~size:8) in
   Alcotest.(check int) "only overlapping entry removed" 1 removed;
   Alcotest.(check bool) "other survives" true (Captable.has_write t ~addr:0x1100 ~size:64)
 
@@ -78,7 +78,7 @@ let test_zero_length_ranges () =
   (* revoking an empty range removes nothing *)
   Captable.add_write t ~base:0x1000 ~size:64;
   Alcotest.(check int) "empty revoke is a no-op" 0
-    (Captable.remove_write_intersecting t ~base:0x1000 ~size:0);
+    (List.length (Captable.remove_write_intersecting t ~base:0x1000 ~size:0));
   Alcotest.(check bool) "grant survives" true (Captable.has_write t ~addr:0x1000 ~size:64)
 
 let test_exactly_adjacent_ranges () =
@@ -93,7 +93,7 @@ let test_exactly_adjacent_ranges () =
     (Captable.has_write t ~addr:0x1038 ~size:16);
   (* revoking the left entry must not disturb its neighbour *)
   Alcotest.(check int) "left revoked" 1
-    (Captable.remove_write_intersecting t ~base:0x1000 ~size:0x40);
+    (List.length (Captable.remove_write_intersecting t ~base:0x1000 ~size:0x40));
   Alcotest.(check bool) "right intact" true (Captable.has_write t ~addr:0x1040 ~size:0x40)
 
 let test_page_boundary_writes () =
@@ -117,7 +117,7 @@ let test_revoke_inside_covering_range () =
      strips the full grant rather than splitting it *)
   Captable.add_write t ~base:0x1000 ~size:0x40;
   Alcotest.(check int) "interior revoke hits the entry" 1
-    (Captable.remove_write_intersecting t ~base:0x1010 ~size:8);
+    (List.length (Captable.remove_write_intersecting t ~base:0x1010 ~size:8));
   Alcotest.(check bool) "prefix gone" false (Captable.has_write t ~addr:0x1000 ~size:8);
   Alcotest.(check bool) "suffix gone" false (Captable.has_write t ~addr:0x1020 ~size:8);
   Alcotest.(check int) "count zero" 0 (Captable.write_count t)

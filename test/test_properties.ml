@@ -340,6 +340,279 @@ let prop_revoke_leaves_no_copies =
         principals)
 
 (* ------------------------------------------------------------------ *)
+(* Holder index = the walk over every principal.  The reference         *)
+(* queries below walk [all_principals], as the paper's runtime does;    *)
+(* the runtime answers the same questions from its holder index.        *)
+(* ------------------------------------------------------------------ *)
+
+type hcap = Hw of int * int | Hc of int | Hr of string * int
+
+type hop =
+  | Hgrant of int * hcap  (** principal (pool index), capability *)
+  | Htransfer of int * hcap  (** revoke from all, then grant *)
+  | Hrevoke of hcap
+  | Hinstance of int * int  (** module, name *)
+  | Hquarantine of int
+  | Hreload of int  (** unload the module and load it again *)
+  | Hcapture of int
+  | Hrestore of int
+  | Hrestore_filtered of int * int  (** module, filter seed *)
+
+let h_arena = 0x2_2000_0000
+let h_page = 1 lsl Lxfi.Captable.slot_shift
+let h_targets = List.init 6 (fun k -> 0x1_0000_4000 + (16 * k))
+let h_refs =
+  List.concat_map
+    (fun r -> List.init 3 (fun k -> (r, 0x2_2800_0000 + (64 * k))))
+    [ "sock"; "pci_dev" ]
+
+(* Probe words: across the small-range pages, and through the region
+   only blanket ranges reach. *)
+let h_probes =
+  List.init 40 (fun k -> h_arena + (k * 0x1a8) + 4)
+  @ List.init 10 (fun k -> h_arena + ((10 + (7 * k)) * h_page) + 0x10)
+
+let to_cap = function
+  | Hw (base, size) -> Lxfi.Capability.Cwrite { base; size }
+  | Hc target -> Lxfi.Capability.Ccall { target }
+  | Hr (rtype, addr) -> Lxfi.Capability.Cref { rtype; addr }
+
+let gen_hcap =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 5,
+          map2
+            (fun off size -> Hw (h_arena + (8 * off), size))
+            (int_bound (8 * h_page / 8))
+            (frequency
+               [
+                 (4, map (fun s -> 8 * (1 + s)) (int_bound 40));
+                 (2, map (fun s -> 64 * (1 + s)) (int_bound (3 * h_page / 64)));
+                 ( 1,
+                   map
+                     (fun s -> (Lxfi.Captable.big_range_pages + 1 + s) * h_page)
+                     (int_bound 4) );
+               ]) );
+        (2, map (fun t -> Hc t) (oneofl h_targets));
+        (2, map (fun (r, a) -> Hr (r, a)) (oneofl h_refs));
+      ])
+
+let gen_hop =
+  QCheck.Gen.(
+    let pi = int_bound 1000 and mi = int_bound 1 in
+    frequency
+      [
+        (6, map2 (fun p c -> Hgrant (p, c)) pi gen_hcap);
+        (3, map2 (fun p c -> Htransfer (p, c)) pi gen_hcap);
+        (3, map (fun c -> Hrevoke c) gen_hcap);
+        (4, map2 (fun m n -> Hinstance (m, n)) mi (int_bound 20));
+        (1, map (fun p -> Hquarantine p) pi);
+        (1, map (fun m -> Hreload m) mi);
+        (1, map (fun m -> Hcapture m) mi);
+        (1, map (fun m -> Hrestore m) mi);
+        (1, map2 (fun m k -> Hrestore_filtered (m, k)) mi (int_bound 7));
+      ])
+
+let show_hcap c = Lxfi.Capability.to_string (to_cap c)
+
+let show_hop = function
+  | Hgrant (p, c) -> Printf.sprintf "grant(%d,%s)" p (show_hcap c)
+  | Htransfer (p, c) -> Printf.sprintf "transfer(%d,%s)" p (show_hcap c)
+  | Hrevoke c -> Printf.sprintf "revoke(%s)" (show_hcap c)
+  | Hinstance (m, n) -> Printf.sprintf "instance(%d,%d)" m n
+  | Hquarantine p -> Printf.sprintf "quarantine(%d)" p
+  | Hreload m -> Printf.sprintf "reload(%d)" m
+  | Hcapture m -> Printf.sprintf "capture(%d)" m
+  | Hrestore m -> Printf.sprintf "restore(%d)" m
+  | Hrestore_filtered (m, k) -> Printf.sprintf "restore_filtered(%d,%d)" m k
+
+let arb_hops =
+  QCheck.make
+    ~print:(fun l -> String.concat "; " (List.map show_hop l))
+    QCheck.Gen.(list_size (int_bound 40) gen_hop)
+
+let ids_of ps = List.map (fun (p : Lxfi.Principal.t) -> p.Lxfi.Principal.id) ps
+
+let by_id ps =
+  List.sort
+    (fun (a : Lxfi.Principal.t) b -> compare a.Lxfi.Principal.id b.Lxfi.Principal.id)
+    ps
+
+(* A table's contents in canonical order. *)
+let table_contents (t : Lxfi.Captable.t) =
+  ( Lxfi.Captable.fold_writes t (fun acc ~base ~size -> (base, size) :: acc) []
+    |> List.sort compare,
+    Lxfi.Captable.fold_calls t (fun acc ~target -> target :: acc) [] |> List.sort compare,
+    Lxfi.Captable.fold_refs t (fun acc ~rtype ~addr -> (rtype, addr) :: acc) []
+    |> List.sort compare )
+
+(* What a table holds after the walk-based revoke of [c]: the same
+   contents rebuilt in a fresh table, then the removal applied to it. *)
+let revoked_contents (t : Lxfi.Captable.t) c =
+  let w, calls, refs = table_contents t in
+  let copy = Lxfi.Captable.create () in
+  List.iter (fun (base, size) -> Lxfi.Captable.add_write copy ~base ~size) w;
+  List.iter (fun target -> Lxfi.Captable.add_call copy ~target) calls;
+  List.iter (fun (rtype, addr) -> Lxfi.Captable.add_ref copy ~rtype ~addr) refs;
+  (match c with
+  | Lxfi.Capability.Cwrite { base; size } ->
+      ignore (Lxfi.Captable.remove_write_intersecting copy ~base ~size)
+  | Lxfi.Capability.Ccall { target } -> Lxfi.Captable.remove_call copy ~target
+  | Lxfi.Capability.Cref { rtype; addr } -> Lxfi.Captable.remove_ref copy ~rtype ~addr);
+  table_contents copy
+
+let ref_writers_of rt ~addr =
+  List.filter
+    (fun (p : Lxfi.Principal.t) ->
+      Lxfi.Captable.find_write_covering p.Lxfi.Principal.caps ~addr <> None)
+    (Lxfi.Runtime.all_principals rt)
+  |> by_id
+
+(* The global principal's implicit access (§3.1), by walking its module. *)
+let ref_global_has rt (p : Lxfi.Principal.t) c =
+  let table_has (t : Lxfi.Captable.t) =
+    match c with
+    | Lxfi.Capability.Cwrite { base; size } ->
+        Lxfi.Captable.has_write_uncached t ~addr:base ~size
+    | Lxfi.Capability.Ccall { target } -> Lxfi.Captable.has_call t ~target
+    | Lxfi.Capability.Cref { rtype; addr } -> Lxfi.Captable.has_ref t ~rtype ~addr
+  in
+  p.Lxfi.Principal.quarantined = None
+  && (table_has p.Lxfi.Principal.caps
+     ||
+     match Hashtbl.find_opt rt.Lxfi.Runtime.modules p.Lxfi.Principal.owner with
+     | None -> false
+     | Some mi ->
+         List.exists
+           (fun (q : Lxfi.Principal.t) ->
+             q.Lxfi.Principal.quarantined = None && table_has q.Lxfi.Principal.caps)
+           mi.Lxfi.Runtime.mi_principals)
+
+(* The (cell, principal id) pairs the index must hold: exactly the cells
+   the registered principals' tables occupy. *)
+let ref_index_pairs rt =
+  List.concat_map
+    (fun (p : Lxfi.Principal.t) ->
+      let c = p.Lxfi.Principal.caps and id = p.Lxfi.Principal.id in
+      let cells tbl cell = Hashtbl.fold (fun k _ acc -> (cell k, id) :: acc) tbl [] in
+      cells c.Lxfi.Captable.writes (fun s -> Lxfi.Holders.Wslot s)
+      @ (if c.Lxfi.Captable.big <> [] then [ (Lxfi.Holders.Wbig, id) ] else [])
+      @ cells c.Lxfi.Captable.calls (fun t -> Lxfi.Holders.Call t)
+      @ cells c.Lxfi.Captable.refs (fun (r, a) -> Lxfi.Holders.Ref (r, a)))
+    (Lxfi.Runtime.all_principals rt)
+  |> List.sort compare
+
+let index_pairs rt =
+  Lxfi.Holders.fold rt.Lxfi.Runtime.holders
+    (fun acc cell (p : Lxfi.Principal.t) -> (cell, p.Lxfi.Principal.id) :: acc)
+    []
+  |> List.sort compare
+
+let h_prog name =
+  Mir.Builder.prog name ~imports:[] ~globals:[ Mir.Builder.global "state" 64 ]
+    ~funcs:[ Mir.Builder.func "module_init" [] [ Mir.Builder.ret0 ] ]
+
+let prop_holder_index_matches_walk =
+  QCheck.Test.make ~count:100 ~name:"holder index = walk over all principals" arb_hops
+    (fun ops ->
+      let kst = Kernel_sim.Kstate.boot () in
+      let rt = Lxfi.Runtime.create ~kst ~config:Lxfi.Config.lxfi in
+      let names = [| "ma"; "mb" |] in
+      let mods = Array.map (fun n -> fst (Lxfi.Loader.load rt (h_prog n))) names in
+      let snaps = Array.make 2 None in
+      (* every principal ever created, registered or not *)
+      let pool = ref [] in
+      let refresh () =
+        List.iter
+          (fun p -> if not (List.memq p !pool) then pool := !pool @ [ p ])
+          (by_id (Lxfi.Runtime.all_principals rt))
+      in
+      refresh ();
+      let pick i = List.nth !pool (i mod List.length !pool) in
+      let contents_of () =
+        List.map (fun (p : Lxfi.Principal.t) -> table_contents p.Lxfi.Principal.caps) !pool
+      in
+      (* [revoke] and the walk must leave every table the same. *)
+      let checked_revoke c =
+        let expected =
+          List.map
+            (fun (p : Lxfi.Principal.t) ->
+              if p.Lxfi.Principal.registered then revoked_contents p.Lxfi.Principal.caps c
+              else table_contents p.Lxfi.Principal.caps)
+            !pool
+        in
+        Lxfi.Runtime.revoke_from_all rt c;
+        contents_of () = expected
+      in
+      let step op =
+        match op with
+        | Hgrant (i, c) ->
+            Lxfi.Runtime.grant rt (pick i) (to_cap c);
+            true
+        | Htransfer (i, c) ->
+            let ok = checked_revoke (to_cap c) in
+            Lxfi.Runtime.grant rt (pick i) (to_cap c);
+            ok
+        | Hrevoke c -> checked_revoke (to_cap c)
+        | Hinstance (m, n) ->
+            ignore (Lxfi.Runtime.find_or_create_instance rt mods.(m) ~name_ptr:(0x9000 + n));
+            true
+        | Hquarantine i ->
+            Lxfi.Quarantine.quarantine_principal rt (pick i) ~reason:"prop";
+            true
+        | Hreload m ->
+            Lxfi.Loader.unload rt mods.(m);
+            mods.(m) <- fst (Lxfi.Loader.load rt (h_prog names.(m)));
+            true
+        | Hcapture m ->
+            snaps.(m) <- Some (Lxfi.Snapshot.capture rt mods.(m));
+            true
+        | Hrestore m ->
+            Option.iter (Lxfi.Snapshot.restore rt mods.(m)) snaps.(m);
+            true
+        | Hrestore_filtered (m, k) ->
+            let keep h = Hashtbl.hash (k, h) land 3 <> 0 in
+            let f =
+              {
+                Lxfi.Snapshot.keep_write = (fun ~base ~size -> keep (base, size));
+                keep_call = (fun ~target -> keep target);
+                keep_ref = (fun ~rtype ~addr -> keep (rtype, addr));
+                keep_instances = k land 1 = 0;
+              }
+            in
+            Option.iter
+              (fun sn -> ignore (Lxfi.Snapshot.restore_filtered rt mods.(m) sn f))
+              snaps.(m);
+            true
+      in
+      let caps_probed =
+        List.map (fun a -> Lxfi.Capability.Cwrite { base = a; size = 8 }) h_probes
+        @ List.map (fun target -> Lxfi.Capability.Ccall { target }) h_targets
+        @ List.map (fun (rtype, addr) -> Lxfi.Capability.Cref { rtype; addr }) h_refs
+      in
+      let agrees () =
+        List.for_all
+          (fun addr ->
+            ids_of (Lxfi.Runtime.writers_of rt ~addr) = ids_of (ref_writers_of rt ~addr))
+          (Kernel_sim.Kmem.Layout.user_base + 0x40 :: h_probes)
+        && index_pairs rt = ref_index_pairs rt
+        && Array.for_all
+             (fun mi ->
+               let g = mi.Lxfi.Runtime.mi_global in
+               List.for_all
+                 (fun c -> Lxfi.Runtime.principal_has rt g c = ref_global_has rt g c)
+                 caps_probed)
+             mods
+      in
+      List.for_all
+        (fun op ->
+          let ok = step op in
+          refresh ();
+          ok && agrees ())
+        ops)
+
+(* ------------------------------------------------------------------ *)
 (* Interpreter arithmetic matches Int64 reference semantics.            *)
 (* ------------------------------------------------------------------ *)
 
@@ -439,6 +712,7 @@ let () =
             prop_kmem_matches_bytes;
             prop_slab_no_overlap;
             prop_revoke_leaves_no_copies;
+            prop_holder_index_matches_walk;
             prop_interp_arithmetic;
             prop_truncation;
             prop_faultsim_invariants;

@@ -178,20 +178,148 @@ let test_kernel_indcall_matching_hash_ok () =
   let r = Kstate.call_ptr kst ~slot:data ~ftype:"test.entry" [ 5L ] in
   Alcotest.(check int64) "dispatched through wrapper" 5L r
 
+let data_of mi =
+  match List.find_opt (fun (n, _, _) -> n = "data") mi.Runtime.mi_sections with
+  | Some (_, base, _) -> base
+  | None -> Alcotest.fail "no data section"
+
+let describe_all ps = List.map Principal.describe ps
+let ids ps = List.map (fun (p : Principal.t) -> p.Principal.id) ps
+let entry_of mi = Hashtbl.find mi.Runtime.mi_func_addr "entry"
+
+let expect_call_denied ~who f =
+  match f () with
+  | _ -> Alcotest.fail "expected call-denied"
+  | exception Violation.Violation v ->
+      Alcotest.(check string) "kind" "call-denied"
+        (Violation.kind_name v.Violation.v_kind);
+      Alcotest.(check (option string)) "reported writer" (Some who)
+        (Option.map Principal.describe v.Violation.v_principal)
+
 let test_writers_of () =
-  let _, rt, mi = setup () in
-  let data =
-    match List.find_opt (fun (n, _, _) -> n = "data") mi.Runtime.mi_sections with
-    | Some (_, base, _) -> base
-    | None -> assert false
-  in
-  (match Runtime.writers_of rt ~addr:data with
+  let kst, rt, mi = setup () in
+  (match Runtime.writers_of rt ~addr:(data_of mi) with
   | [ p ] -> Alcotest.(check string) "shared wrote the data section" "probe_mod/shared"
                (Principal.describe p)
   | l -> Alcotest.failf "expected one writer, got %d" (List.length l));
   (* kernel memory nobody was granted: no writers *)
   Alcotest.(check int) "kernel data has no writers" 0
-    (List.length (Runtime.writers_of rt ~addr:0x2_0FFF_0000))
+    (List.length (Runtime.writers_of rt ~addr:0x2_0FFF_0000));
+  (* a blanket range is found without a page-slot entry *)
+  Alcotest.(check (list string)) "user window holder" [ "probe_mod/shared" ]
+    (describe_all (Runtime.writers_of rt ~addr:(Kstate.user_alloc kst 64)));
+  (* the query leaves every principal's guard cache alone *)
+  let caps = mi.Runtime.mi_shared.Principal.caps in
+  caps.Captable.last_hit <- None;
+  ignore (Runtime.writers_of rt ~addr:(data_of mi));
+  Alcotest.(check bool) "guard cache untouched" true (caps.Captable.last_hit = None)
+
+(* One kernel slot written by principals of two modules: both are
+   reported, in ascending principal id, and the one without CALL for the
+   stored target fails the check. *)
+let test_writers_of_two_modules () =
+  let kst, rt, mi = setup () in
+  let mi_b, _ = Loader.load rt { probe_prog with Mir.Ast.pname = "probe_b" } in
+  let b_inst = Runtime.find_or_create_instance rt mi_b ~name_ptr:0xb0b0 in
+  let slot = Slab.kmalloc kst.Kstate.slab 64 in
+  Runtime.grant rt b_inst (Capability.Cwrite { base = slot; size = 64 });
+  Runtime.grant rt mi.Runtime.mi_shared (Capability.Cwrite { base = slot; size = 64 });
+  let ws = Runtime.writers_of rt ~addr:(slot + 8) in
+  Alcotest.(check (list string)) "both writers"
+    [ "probe_mod/shared"; "probe_b/instance(0xb0b0)" ]
+    (describe_all ws);
+  Alcotest.(check (list int)) "ascending id" (List.sort compare (ids ws)) (ids ws);
+  Kmem.write_ptr kst.Kstate.mem slot (entry_of mi);
+  expect_call_denied ~who:"probe_b/instance(0xb0b0)" (fun () ->
+      Kstate.call_ptr kst ~slot ~ftype:"test.entry" [ 5L ])
+
+(* A range large enough for the linear list still names its holder. *)
+let test_writers_of_big_range () =
+  let _, rt, mi = setup () in
+  let p = Runtime.find_or_create_instance rt mi ~name_ptr:0x5151 in
+  let base = 0x2_3000_0000 in
+  let size = (Captable.big_range_pages + 1) lsl Captable.slot_shift in
+  Alcotest.(check bool) "range is big" true (Captable.is_big ~base ~size);
+  Runtime.grant rt p (Capability.Cwrite { base; size });
+  Alcotest.(check (list string)) "interior word" [ "probe_mod/instance(0x5151)" ]
+    (describe_all (Runtime.writers_of rt ~addr:(base + (size / 2))));
+  Alcotest.(check int) "past the end" 0
+    (List.length (Runtime.writers_of rt ~addr:(base + size)));
+  Runtime.revoke_from_all rt (Capability.Cwrite { base; size });
+  Alcotest.(check int) "revoked" 0
+    (List.length (Runtime.writers_of rt ~addr:(base + (size / 2))))
+
+(* A revoked writer's line stays marked (the writer set is sticky), so
+   the call takes the checked path, finds no writer and dispatches. *)
+let test_writers_of_revoked () =
+  let kst, rt, mi = setup () in
+  let p = Runtime.find_or_create_instance rt mi ~name_ptr:0x6161 in
+  let slot = Slab.kmalloc kst.Kstate.slab 64 in
+  Runtime.grant rt p (Capability.Cwrite { base = slot; size = 64 });
+  Kmem.write_ptr kst.Kstate.mem slot (entry_of mi);
+  Runtime.revoke_from_all rt (Capability.Cwrite { base = slot; size = 64 });
+  Alcotest.(check bool) "line still marked" true
+    (Writer_set.maybe_written rt.Runtime.wset slot);
+  Alcotest.(check int) "no writers" 0 (List.length (Runtime.writers_of rt ~addr:slot));
+  let checked0 = rt.Runtime.stats.Stats.kernel_indcall_checked in
+  Alcotest.(check int64) "benign dispatch" 5L
+    (Kstate.call_ptr kst ~slot ~ftype:"test.entry" [ 5L ]);
+  Alcotest.(check int) "took the checked path" (checked0 + 1)
+    rt.Runtime.stats.Stats.kernel_indcall_checked
+
+(* A quarantined principal granted WRITE afterwards (a post action
+   returning to it) is still a writer, and fails the CALL check. *)
+let test_writers_of_quarantined () =
+  let kst, rt, mi = setup () in
+  let p = Runtime.find_or_create_instance rt mi ~name_ptr:0x7171 in
+  Quarantine.quarantine_principal rt p ~reason:"test";
+  let slot = Slab.kmalloc kst.Kstate.slab 64 in
+  Runtime.grant rt p (Capability.Cwrite { base = slot; size = 64 });
+  Alcotest.(check (list string)) "still reported" [ "probe_mod/instance(0x7171)" ]
+    (describe_all (Runtime.writers_of rt ~addr:slot));
+  Kmem.write_ptr kst.Kstate.mem slot (entry_of mi);
+  expect_call_denied ~who:"probe_mod/instance(0x7171)" (fun () ->
+      Kstate.call_ptr kst ~slot ~ftype:"test.entry" [ 5L ])
+
+(* The checked kernel indirect call and the transfer revocation read the
+   holder index, so what they allocate does not depend on how many
+   principals exist: a walk over every principal would. *)
+let test_flat_allocation () =
+  let minor_words_of f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let measure ~extra =
+    let kst, rt, mi = setup () in
+    for i = 1 to extra do
+      let p = Runtime.find_or_create_instance rt mi ~name_ptr:(0x10_0000 + i) in
+      let base = 0x2_4000_0000 + (i lsl Captable.slot_shift) in
+      Runtime.grant rt p (Capability.Cwrite { base; size = 64 });
+      Runtime.grant rt p (Capability.Ccall { target = entry_of mi })
+    done;
+    let slot = Slab.kmalloc kst.Kstate.slab 64 in
+    Runtime.grant rt mi.Runtime.mi_shared (Capability.Cwrite { base = slot; size = 64 });
+    Kmem.write_ptr kst.Kstate.mem slot (entry_of mi);
+    let call () = ignore (Kstate.call_ptr kst ~slot ~ftype:"test.entry" [ 5L ]) in
+    call ();
+    let checked0 = rt.Runtime.stats.Stats.kernel_indcall_checked in
+    let call_words = minor_words_of call in
+    Alcotest.(check int) "checked path" (checked0 + 1)
+      rt.Runtime.stats.Stats.kernel_indcall_checked;
+    let cap = Capability.Cwrite { base = 0x2_0F00_0000; size = 64 } in
+    Runtime.grant rt mi.Runtime.mi_shared cap;
+    let revoke_words = minor_words_of (fun () -> Runtime.revoke_from_all rt cap) in
+    Alcotest.(check int) "principals" (3 + extra)
+      (List.length (Runtime.all_principals rt));
+    (call_words, revoke_words)
+  in
+  let call_small, revoke_small = measure ~extra:0 in
+  let call_large, revoke_large = measure ~extra:10_000 in
+  Alcotest.(check (float 0.)) "checked call words, 3 vs 10,003 principals" call_small
+    call_large;
+  Alcotest.(check (float 0.)) "revoke words, 3 vs 10,003 principals" revoke_small
+    revoke_large
 
 let test_inspect_capture () =
   let _, rt, mi = setup () in
@@ -253,6 +381,12 @@ let () =
             test_unannotated_function_not_callable;
           Alcotest.test_case "stats counted" `Quick test_stats_move;
           Alcotest.test_case "writers_of" `Quick test_writers_of;
+          Alcotest.test_case "writers_of: two modules" `Quick test_writers_of_two_modules;
+          Alcotest.test_case "writers_of: big range" `Quick test_writers_of_big_range;
+          Alcotest.test_case "writers_of: revoked writer" `Quick test_writers_of_revoked;
+          Alcotest.test_case "writers_of: quarantined writer" `Quick
+            test_writers_of_quarantined;
+          Alcotest.test_case "flat allocation in principal count" `Quick test_flat_allocation;
           Alcotest.test_case "inspect capture" `Quick test_inspect_capture;
           Alcotest.test_case "current_module" `Quick test_current_module;
         ] );

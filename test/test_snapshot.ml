@@ -67,7 +67,7 @@ let prop_restore_is_exact =
       let s1 = Lxfi.Snapshot.capture rt mi in
       List.iter
         (fun (p : Lxfi.Principal.t) ->
-          Lxfi.Captable.clear p.Lxfi.Principal.caps;
+          Lxfi.Runtime.clear_caps rt p;
           p.Lxfi.Principal.quarantined <- Some "scrubbed")
         mi.Lxfi.Runtime.mi_principals;
       let arena = Kmodules.Mod_common.gaddr mi "arena" in
