@@ -40,31 +40,43 @@ let ok_exn = function
   | Ok v -> v
   | Error e -> invalid_arg (Printf.sprintf "Registry.define: %s" (error_to_string e))
 
-(** [define t ~name ~params ~annot] registers an already-parsed slot
-    type; validation against [params] still runs so a slot in the
-    registry is always internally consistent. *)
-let define t ~name ~params ~annot : (slot, error) result =
+(** Parse-and-hash results, one per [(params, source)] pair seen in
+    this process.  Annotation sources are static facts of the kernel
+    API, so every boot would otherwise re-parse and re-hash the same
+    strings.  Parse errors are kept too; validation is not, since it
+    belongs to each define. *)
+let compiled : (string list * string, (Ast.t * int64, Parser.error) result) Hashtbl.t =
+  Hashtbl.create 128
+
+let compile ~params src =
+  match Hashtbl.find_opt compiled (params, src) with
+  | Some r -> r
+  | None ->
+      let r = Result.map (fun a -> (a, Hash.of_annot ~params a)) (Parser.parse src) in
+      Hashtbl.replace compiled (params, src) r;
+      r
+
+let add t ~name ~params ~annot ~ahash : (slot, error) result =
   if Hashtbl.mem t.slots name then Error (Duplicate name)
   else
     match Ast.validate ~params annot with
     | Error msg -> Error (Invalid { name; msg })
     | Ok () ->
-        let s =
-          {
-            sl_name = name;
-            sl_params = params;
-            sl_annot = annot;
-            sl_ahash = Hash.of_annot ~params annot;
-          }
-        in
+        let s = { sl_name = name; sl_params = params; sl_annot = annot; sl_ahash = ahash } in
         Hashtbl.replace t.slots name s;
         Ok s
 
-(** Thin convenience that parses [annot_src] first. *)
+(** [define t ~name ~params ~annot] registers an already-parsed slot
+    type; validation against [params] still runs so a slot in the
+    registry is always internally consistent. *)
+let define t ~name ~params ~annot =
+  add t ~name ~params ~annot ~ahash:(Hash.of_annot ~params annot)
+
+(** Parses [annot_src] first, through {!compile}. *)
 let define_src t ~name ~params ~annot_src : (slot, error) result =
-  match Parser.parse annot_src with
+  match compile ~params annot_src with
   | Error err -> Error (Parse { name; src = annot_src; err })
-  | Ok annot -> define t ~name ~params ~annot
+  | Ok (annot, ahash) -> add t ~name ~params ~annot ~ahash
 
 let define_exn t ~name ~params ~annot_src = ok_exn (define_src t ~name ~params ~annot_src)
 

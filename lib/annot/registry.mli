@@ -36,9 +36,17 @@ val define : t -> name:string -> params:string list -> annot:Ast.t -> (slot, err
     [params] (unknown parameter names, [return] in pre clauses) so
     every slot in the registry is internally consistent. *)
 
+val compile : params:string list -> string -> (Ast.t * int64, Parser.error) result
+(** Parse an annotation source and hash it under [params].  Memoized
+    per process on [(params, source)], errors included: each distinct
+    annotation is parsed and hashed once however many systems boot.
+    Does not validate against [params]. *)
+
 val define_src :
   t -> name:string -> params:string list -> annot_src:string -> (slot, error) result
-(** Convenience wrapper that parses [annot_src] first. *)
+(** Convenience wrapper that parses [annot_src] first, through
+    {!compile}; the duplicate-name check and validation still run on
+    every call. *)
 
 val define_exn : t -> name:string -> params:string list -> annot_src:string -> slot
 (** [define_src] + [ok_exn]. *)

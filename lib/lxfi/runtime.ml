@@ -278,13 +278,7 @@ let retire_module rt mi =
 
 (** {1 Kernel exports and capability iterators} *)
 
-(** [register_kexport rt ~name ~params ~annot impl] registers an
-    annotated kernel export from an already-parsed annotation; the
-    hash participates in indirect-call matching.  Validation against
-    [params] still runs, so a registered export is always internally
-    consistent ([Error] is {!Annot.Registry.Invalid} otherwise). *)
-let register_kexport rt ~name ~params ~annot impl :
-    (kexport, Annot.Registry.error) result =
+let add_kexport rt ~name ~params ~annot ~ahash impl : (kexport, Annot.Registry.error) result =
   match Annot.Ast.validate ~params annot with
   | Error msg -> Error (Annot.Registry.Invalid { name; msg })
   | Ok () ->
@@ -295,7 +289,7 @@ let register_kexport rt ~name ~params ~annot impl :
           ke_addr = addr;
           ke_params = params;
           ke_annot = annot;
-          ke_ahash = Annot.Hash.of_annot ~params annot;
+          ke_ahash = ahash;
           ke_impl = impl;
         }
       in
@@ -308,12 +302,21 @@ let register_kexport rt ~name ~params ~annot impl :
           ke.ke_impl args);
       Ok ke
 
-(** Thin convenience that parses the annotation source first. *)
+(** [register_kexport rt ~name ~params ~annot impl] registers an
+    annotated kernel export from an already-parsed annotation; the
+    hash participates in indirect-call matching.  Validation against
+    [params] still runs, so a registered export is always internally
+    consistent ([Error] is {!Annot.Registry.Invalid} otherwise). *)
+let register_kexport rt ~name ~params ~annot impl =
+  add_kexport rt ~name ~params ~annot ~ahash:(Annot.Hash.of_annot ~params annot) impl
+
+(** Thin convenience that parses and hashes the annotation source
+    first, through the per-process {!Annot.Registry.compile} memo. *)
 let register_kexport_src rt ~name ~params ~annot_src impl :
     (kexport, Annot.Registry.error) result =
-  match Annot.Parser.parse annot_src with
+  match Annot.Registry.compile ~params annot_src with
   | Error err -> Error (Annot.Registry.Parse { name; src = annot_src; err })
-  | Ok annot -> register_kexport rt ~name ~params ~annot impl
+  | Ok (annot, ahash) -> add_kexport rt ~name ~params ~annot ~ahash impl
 
 let register_kexport_exn rt ~name ~params ~annot_src impl =
   Annot.Registry.ok_exn (register_kexport_src rt ~name ~params ~annot_src impl)

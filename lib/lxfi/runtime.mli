@@ -186,7 +186,9 @@ val register_kexport_src :
   annot_src:string ->
   (int64 list -> int64) ->
   (kexport, Annot.Registry.error) result
-(** Convenience wrapper that parses [annot_src] first. *)
+(** Convenience wrapper that parses and hashes [annot_src] first,
+    through the {!Annot.Registry.compile} memo; validation still runs
+    on every call. *)
 
 val register_kexport_exn :
   t ->

@@ -4,9 +4,9 @@
     the MIR interpreter, the quarantine policy, the slab allocator and
     the fault injector emit typed events, each stamped with the
     simulated cycle clock (split by {!Kcycles} category) and the
-    current principal.  The buffer is a fixed-capacity ring that keeps
-    the {e newest} events; aggregation and export live in
-    {!Trace_profile}.
+    current principal.  The buffer is a bounded ring that keeps the
+    {e newest} events, grown on demand up to its capacity; aggregation
+    and export live in {!Trace_profile}.
 
     {2 Zero cost when disabled}
 
@@ -99,21 +99,34 @@ type event = {
 
 let ev_total e = e.ev_kernel + e.ev_module + e.ev_guard
 
+(** The ring starts at [initial_slots] and doubles, up to [capacity],
+    each time it fills before it has wrapped: a short trace never pays
+    for the whole bound.  Once the ring reaches [capacity] it wraps as
+    a fixed ring would. *)
 type t = {
   capacity : int;
-  ring : event array;
+  mutable ring : event array;
   mutable next : int;  (** next write slot *)
   mutable total : int;  (** events ever emitted *)
 }
 
 let default_capacity = 65_536
+let initial_slots = 256
 
 let dummy =
   { ev_kernel = 0; ev_module = 0; ev_guard = 0; ev_principal = ""; ev_kind = Guard Gentry }
 
 let make ?(capacity = default_capacity) () =
   if capacity <= 0 then invalid_arg "Trace.make: capacity <= 0";
-  { capacity; ring = Array.make capacity dummy; next = 0; total = 0 }
+  { capacity; ring = Array.make (min capacity initial_slots) dummy; next = 0; total = 0 }
+
+(* Called only when [next] reached the end of a ring shorter than
+   [capacity] ([next < capacity] always), so nothing has wrapped yet. *)
+let grow t =
+  let n = Array.length t.ring in
+  let ring = Array.make (min t.capacity (2 * n)) dummy in
+  Array.blit t.ring 0 ring 0 n;
+  t.ring <- ring
 
 (** The single flag every hook site checks.  Reading a [bool ref] is
     the whole disabled-path cost. *)
@@ -152,6 +165,7 @@ let emit kind =
   | None -> ()
   | Some t ->
       let k, m, g = !clock () in
+      if t.next = Array.length t.ring then grow t;
       t.ring.(t.next) <-
         { ev_kernel = k; ev_module = m; ev_guard = g; ev_principal = !principal (); ev_kind = kind };
       t.next <- (t.next + 1) mod t.capacity;

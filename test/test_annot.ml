@@ -158,6 +158,67 @@ let test_registry () =
   Alcotest.check_raises "unknown slot" (Annot.Registry.Unknown_slot "t.g") (fun () ->
       ignore (Annot.Registry.find r "t.g"))
 
+(* Sources are parsed and hashed once per process; every define still
+   validates and checks for duplicates, and a memo hit changes no hash. *)
+let test_memo () =
+  Kernel_sim.Klog.quiet ();
+  let boot () = Kmodules.Ksys.boot Lxfi.Config.lxfi in
+  let a = boot () and b = boot () in
+  let ra = a.Kmodules.Ksys.rt and rb = b.Kmodules.Ksys.rt in
+  let slots = Annot.Registry.all ra.Lxfi.Runtime.registry in
+  Alcotest.(check bool) "boot defines slot types" true (slots <> []);
+  List.iter
+    (fun (s : Annot.Registry.slot) ->
+      let name = s.Annot.Registry.sl_name in
+      let fresh =
+        Annot.Hash.of_annot ~params:s.Annot.Registry.sl_params s.Annot.Registry.sl_annot
+      in
+      Alcotest.(check int64) (name ^ " fresh hash") fresh s.Annot.Registry.sl_ahash;
+      Alcotest.(check int64) (name ^ " across boots") fresh
+        (Annot.Registry.ahash rb.Lxfi.Runtime.registry name))
+    slots;
+  Hashtbl.iter
+    (fun name (ke : Lxfi.Runtime.kexport) ->
+      let fresh = Annot.Hash.of_annot ~params:ke.Lxfi.Runtime.ke_params ke.Lxfi.Runtime.ke_annot in
+      Alcotest.(check int64) (name ^ " fresh hash") fresh ke.Lxfi.Runtime.ke_ahash;
+      Alcotest.(check int64) (name ^ " across boots") fresh
+        (Lxfi.Runtime.find_kexport rb name).Lxfi.Runtime.ke_ahash)
+    ra.Lxfi.Runtime.kexports;
+  let r = Annot.Registry.create () in
+  let define ~name ~params src = Annot.Registry.define_src r ~name ~params ~annot_src:src in
+  (* a malformed source fails the same way on every define *)
+  let parse_err name =
+    match define ~name ~params:[] "pre(copy(write" with
+    | Error (Annot.Registry.Parse { err; _ }) -> err
+    | Error e -> Alcotest.failf "wrong error kind: %s" (Annot.Registry.error_to_string e)
+    | Ok _ -> Alcotest.fail "malformed source must not define"
+  in
+  let e1 = parse_err "bad.1" in
+  Alcotest.(check bool) "same parse error on a memo hit" true (e1 = parse_err "bad.2");
+  (* a source that fits one parameter list but not another *)
+  let src = "pre(copy(write, buf, 8))" in
+  ignore (Annot.Registry.ok_exn (define ~name:"fits" ~params:[ "buf" ] src));
+  for i = 1 to 2 do
+    match define ~name:(Printf.sprintf "misfit.%d" i) ~params:[ "len" ] src with
+    | Error (Annot.Registry.Invalid _) -> ()
+    | Error e -> Alcotest.failf "misfit %d: wrong error: %s" i (Annot.Registry.error_to_string e)
+    | Ok _ -> Alcotest.failf "misfit %d: must be rejected" i
+  done;
+  (match define ~name:"fits" ~params:[ "buf" ] src with
+  | Error (Annot.Registry.Duplicate "fits") -> ()
+  | Error e -> Alcotest.failf "wrong duplicate error: %s" (Annot.Registry.error_to_string e)
+  | Ok _ -> Alcotest.fail "duplicate must be rejected after a memo hit");
+  (* the kernel-export path goes through the same memo and validation *)
+  for i = 1 to 2 do
+    match
+      Lxfi.Runtime.register_kexport_src ra ~name:(Printf.sprintf "misfit_export_%d" i)
+        ~params:[ "len" ] ~annot_src:src (fun _ -> 0L)
+    with
+    | Error (Annot.Registry.Invalid _) -> ()
+    | Error e -> Alcotest.failf "export %d: wrong error: %s" i (Annot.Registry.error_to_string e)
+    | Ok _ -> Alcotest.failf "export %d: must be rejected" i
+  done
+
 let test_error_positions () =
   (* the parser names the offending token and where it sits *)
   (match P.parse "pre(grant(write, p))" with
@@ -205,5 +266,6 @@ let () =
         [
           Alcotest.test_case "define/find" `Quick test_registry;
           Alcotest.test_case "static validation" `Quick test_validation;
+          Alcotest.test_case "parse-and-hash memo" `Quick test_memo;
         ] );
     ]

@@ -79,6 +79,91 @@ let prop_writer_set_no_false_negatives =
         ranges)
 
 (* ------------------------------------------------------------------ *)
+(* Writer set agrees with a line-per-entry reference model.            *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference: one hash-table entry per marked 64-byte line. *)
+module Line_set = struct
+  let shift = Lxfi.Writer_set.line_shift
+
+  let lines ~base ~size =
+    if size <= 0 then []
+    else
+      let first = base lsr shift in
+      List.init (((base + size - 1) lsr shift) - first + 1) (fun i -> first + i)
+
+  let mark t ~base ~size = List.iter (fun l -> Hashtbl.replace t l ()) (lines ~base ~size)
+  let clear t ~base ~size = List.iter (Hashtbl.remove t) (lines ~base ~size)
+end
+
+type wsop = Mark of int * int | Clear of int * int
+
+let gen_wsop =
+  QCheck.Gen.(
+    (* two regions far apart, so chunk indices also differ in high bits *)
+    let base =
+      map2
+        (fun region off -> region + off)
+        (oneofl [ 0x2_0000_0000; 0x4_0000_0000 ])
+        (oneof
+           [
+             int_bound 0x6000;
+             (* just below a 2 KB chunk boundary *)
+             map2 (fun c d -> (c * 0x800) - d) (int_range 1 12) (int_bound 64);
+           ])
+    in
+    let size =
+      oneof
+        [
+          return 0;
+          int_range 1 64 (* within one or two lines *);
+          int_range 65 0x1000 (* crosses chunk boundaries *);
+          int_range 0x1000 0x6000 (* many chunks *);
+        ]
+    in
+    map3
+      (fun clear b s -> if clear then Clear (b, s) else Mark (b, s))
+      (frequency [ (3, return false); (1, return true) ])
+      base size)
+
+let show_wsop = function
+  | Mark (b, s) -> Printf.sprintf "Mark(0x%x,%d)" b s
+  | Clear (b, s) -> Printf.sprintf "Clear(0x%x,%d)" b s
+
+let prop_writer_set_matches_model =
+  QCheck.Test.make ~count:300 ~name:"writer set = line-per-entry model"
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map show_wsop l))
+       QCheck.Gen.(list_size (int_bound 40) gen_wsop))
+    (fun ops ->
+      let w = Lxfi.Writer_set.create () and model = Hashtbl.create 64 in
+      List.iter
+        (function
+          | Mark (base, size) ->
+              Lxfi.Writer_set.mark_range w ~base ~size;
+              Line_set.mark model ~base ~size
+          | Clear (base, size) ->
+              Lxfi.Writer_set.clear_range w ~base ~size;
+              Line_set.clear model ~base ~size)
+        ops;
+      (* probe each range's edges and their neighbours, plus a fixed grid *)
+      let probes =
+        List.concat_map
+          (function
+            | Mark (b, s) | Clear (b, s) -> [ b - 1; b; b + (s / 2); b + s - 1; b + s ])
+          ops
+        @ List.concat
+            (List.init 256 (fun i -> [ 0x2_0000_0000 + (i * 0x70); 0x4_0000_0000 + (i * 0x70) ]))
+      in
+      let shift = Lxfi.Writer_set.line_shift in
+      List.for_all
+        (fun a -> Lxfi.Writer_set.maybe_written w a = Hashtbl.mem model (a lsr shift))
+        probes
+      && Lxfi.Writer_set.marked_lines w = Hashtbl.length model
+      && List.sort compare (Lxfi.Writer_set.fold_lines w (fun acc l -> l :: acc) [])
+         = List.sort compare (Hashtbl.fold (fun l () acc -> l :: acc) model []))
+
+(* ------------------------------------------------------------------ *)
 (* Annotation language: print/parse fixpoint on generated ASTs.        *)
 (* ------------------------------------------------------------------ *)
 
@@ -706,6 +791,7 @@ let () =
           [
             prop_captable_matches_model;
             prop_writer_set_no_false_negatives;
+            prop_writer_set_matches_model;
             prop_annot_roundtrip;
             prop_annot_hash_stable;
             prop_registry_define_consistent;

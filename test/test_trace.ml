@@ -7,9 +7,9 @@
      per-principal profile reconciles with the cycle clock. *)
 
 (* A synthetic clock/principal pair so ring tests need no simulator. *)
-let with_counter_clock f =
+let with_counter_clock ?(capacity = 4) f =
   let tick = ref 0 in
-  let buf = Trace.make ~capacity:4 () in
+  let buf = Trace.make ~capacity () in
   Trace.attach buf
     ~clock:(fun () ->
       incr tick;
@@ -75,6 +75,27 @@ let test_ring_exact_fit () =
            (function Trace.Mod_call s -> s | _ -> "?")
            (kinds_of buf)))
 
+(* The ring starts small and doubles up to its capacity; the counts
+   straddle each growth step and the wraparound point. *)
+let test_ring_growth () =
+  let capacity = 1000 in
+  List.iter
+    (fun n ->
+      with_counter_clock ~capacity (fun buf ->
+          for i = 1 to n do
+            Trace.emit (Trace.Mod_call (string_of_int i))
+          done;
+          let kept = min n capacity in
+          let label what = Printf.sprintf "%s after %d" what n in
+          Alcotest.(check int) (label "total") n (Trace.total buf);
+          Alcotest.(check int) (label "dropped") (n - kept) (Trace.dropped buf);
+          Alcotest.(check int) (label "capacity") capacity (Trace.capacity buf);
+          Alcotest.(check (list string))
+            (label "newest, oldest first")
+            (List.init kept (fun i -> string_of_int (n - kept + 1 + i)))
+            (List.map (function Trace.Mod_call s -> s | _ -> "?") (kinds_of buf))))
+    [ 0; 1; 255; 256; 257; 999; 1000; 1001; 2500 ]
+
 (* Drive the real traced netperf workload twice at the same seed; the
    report (cycle totals, per-principal tables) and the Chrome JSON
    export must be byte-identical, and cycles must reconcile (exit 0). *)
@@ -127,6 +148,7 @@ let () =
           Alcotest.test_case "wraparound keeps newest" `Quick test_ring_keeps_newest;
           Alcotest.test_case "under capacity" `Quick test_ring_under_capacity;
           Alcotest.test_case "exact fit" `Quick test_ring_exact_fit;
+          Alcotest.test_case "grows to capacity" `Quick test_ring_growth;
           Alcotest.test_case "detach disables" `Quick test_detach_disables;
         ] );
       ( "determinism",
