@@ -110,9 +110,10 @@ let rec sum_expr ctx (e : expr) : summary =
 
 let rec flow_stmt ctx (s : stmt) : flow =
   match s with
-  | Let (_, e) | Expr e -> { fall = Some (sum_expr ctx e); exits = None }
+  | Let (_, e) | Expr e | Guard (Gwrite (_, e) | Gindcall e) ->
+      { fall = Some (sum_expr ctx e); exits = None }
   | Return e -> { fall = None; exits = Some (sum_expr ctx e) }
-  | Alloca _ | Guard _ -> { fall = Some empty_sum; exits = None }
+  | Alloca _ -> { fall = Some empty_sum; exits = None }
   | Store (_, a, v) ->
       { fall = Some (seq (sum_expr ctx a) (sum_expr ctx v)); exits = None }
   | If (c, t, f) ->
@@ -153,77 +154,6 @@ let sum_func ctx (fn : func) : summary =
   let f = flow_stmts ctx fn.body in
   match opt_alt f.fall f.exits with Some s -> s | None -> empty_sum
 
-(* --- address-taken sets, for indirect-call summaries --- *)
-
-let rec expr_taken (own, kex) (e : expr) =
-  match e with
-  | Const _ | Var _ | Glob _ -> (own, kex)
-  | Funcaddr f -> (SSet.add f own, kex)
-  | Extaddr x -> (own, SSet.add x kex)
-  | Load (_, a) -> expr_taken (own, kex) a
-  | Binop (_, _, a, b) -> expr_taken (expr_taken (own, kex) a) b
-  | Call (c, args) ->
-      let acc =
-        match c with Indirect t -> expr_taken (own, kex) t | _ -> (own, kex)
-      in
-      List.fold_left expr_taken acc args
-
-let rec stmt_taken acc = function
-  | Let (_, e) | Expr e | Return e -> expr_taken acc e
-  | Alloca _ | Guard _ -> acc
-  | Store (_, a, v) -> expr_taken (expr_taken acc a) v
-  | If (c, t, f) ->
-      List.fold_left stmt_taken
-        (List.fold_left stmt_taken (expr_taken acc c) t)
-        f
-  | While (c, b) -> List.fold_left stmt_taken (expr_taken acc c) b
-
-let address_taken (prog : prog) : SSet.t * SSet.t =
-  let acc =
-    List.fold_left
-      (fun acc (f : func) -> List.fold_left stmt_taken acc f.body)
-      (SSet.empty, SSet.empty) prog.funcs
-  in
-  List.fold_left
-    (fun acc (g : glob) ->
-      List.fold_left
-        (fun (own, kex) init ->
-          match init with
-          | Ifunc (_, f) -> (SSet.add f own, kex)
-          | Iext (_, x) -> (own, SSet.add x kex)
-          | Iword _ -> (own, kex))
-        acc g.ginit)
-    acc prog.globals
-
-(* --- syntactic kexport call sites (graph node set) --- *)
-
-let rec expr_sites is_kexport acc = function
-  | Const _ | Var _ | Glob _ | Funcaddr _ | Extaddr _ -> acc
-  | Load (_, a) -> expr_sites is_kexport acc a
-  | Binop (_, _, a, b) -> expr_sites is_kexport (expr_sites is_kexport acc a) b
-  | Call (c, args) ->
-      let acc =
-        match c with
-        | Ext name when is_kexport name -> SSet.add name acc
-        | Indirect t -> expr_sites is_kexport acc t
-        | _ -> acc
-      in
-      List.fold_left (expr_sites is_kexport) acc args
-
-let rec stmt_sites is_kexport acc = function
-  | Let (_, e) | Expr e | Return e -> expr_sites is_kexport acc e
-  | Alloca _ | Guard _ -> acc
-  | Store (_, a, v) ->
-      expr_sites is_kexport (expr_sites is_kexport acc a) v
-  | If (c, t, f) ->
-      List.fold_left (stmt_sites is_kexport)
-        (List.fold_left (stmt_sites is_kexport)
-           (expr_sites is_kexport acc c)
-           t)
-        f
-  | While (c, b) ->
-      List.fold_left (stmt_sites is_kexport) (expr_sites is_kexport acc c) b
-
 (* --- the graph --- *)
 
 type graph = {
@@ -254,11 +184,11 @@ let extract (env : Env.t) (prog : prog) : graph =
   let own_taken, kex_taken = address_taken prog in
   let isum () =
     let base =
-      SSet.fold (fun f acc -> alt acc (fsum f)) own_taken empty_sum
+      List.fold_left (fun acc f -> alt acc (fsum f)) empty_sum own_taken
     in
-    SSet.fold
-      (fun x acc -> if is_kexport x then alt acc (node x) else acc)
-      kex_taken base
+    List.fold_left
+      (fun acc x -> if is_kexport x then alt acc (node x) else acc)
+      base kex_taken
   in
   let ctx = { is_kexport; fsum; isum } in
   let changed = ref true in
@@ -283,10 +213,13 @@ let extract (env : Env.t) (prog : prog) : graph =
       prog.funcs
   in
   let edges = cross lasts firsts pairs in
+  (* Nodes: the syntactic kexport call sites. *)
   let nodes =
     List.fold_left
       (fun acc (fn : func) ->
-        List.fold_left (stmt_sites is_kexport) acc fn.body)
+        fold_stmts
+          (fun acc -> function Call (Ext k, _) when is_kexport k -> SSet.add k acc | _ -> acc)
+          acc fn.body)
       SSet.empty prog.funcs
   in
   {
@@ -307,41 +240,20 @@ let render (g : graph) : string = String.concat "\n" (render_lines g) ^ "\n"
 
 (* --- checker facade integration --- *)
 
-(** Direct calls to functions the program does not define: the loader
-    would build a context whose execution oopses, and the flow summary
-    for the callee is vacuous — a genuine extraction failure. *)
-let rec expr_undef prog acc = function
-  | Const _ | Var _ | Glob _ | Funcaddr _ | Extaddr _ -> acc
-  | Load (_, a) -> expr_undef prog acc a
-  | Binop (_, _, a, b) -> expr_undef prog (expr_undef prog acc a) b
-  | Call (c, args) ->
-      let acc =
-        match c with
-        | Direct f when find_func prog f = None -> SSet.add f acc
-        | Indirect t -> expr_undef prog acc t
-        | _ -> acc
-      in
-      List.fold_left (expr_undef prog) acc args
-
-let rec stmt_undef prog acc = function
-  | Let (_, e) | Expr e | Return e -> expr_undef prog acc e
-  | Alloca _ | Guard _ -> acc
-  | Store (_, a, v) -> expr_undef prog (expr_undef prog acc a) v
-  | If (c, t, f) ->
-      List.fold_left (stmt_undef prog)
-        (List.fold_left (stmt_undef prog) (expr_undef prog acc c) t)
-        f
-  | While (c, b) ->
-      List.fold_left (stmt_undef prog) (expr_undef prog acc c) b
-
 (** [check_module env prog] — flow-graph findings for one module: an
     error per direct call to an undefined function (extraction cannot
     summarise the callee), and one info finding stating the extracted
     graph's size, so [lxfi_sim check] reports surface the pass ran. *)
 let check_module (env : Env.t) (prog : prog) : Finding.t list =
+  (* Direct calls to functions the program does not define: the loader
+     would build a context whose execution oopses, and the flow summary
+     for the callee is vacuous — a genuine extraction failure. *)
   let undef =
     List.fold_left
-      (fun acc (fn : func) -> List.fold_left (stmt_undef prog) acc fn.body)
+      (fun acc (fn : func) ->
+        fold_stmts
+          (fun acc -> function Call (Direct f, _) when find_func prog f = None -> SSet.add f acc | _ -> acc)
+          acc fn.body)
       SSet.empty prog.funcs
   in
   let errors =

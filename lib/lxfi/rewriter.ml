@@ -14,8 +14,8 @@
     Figure 11 microbenchmark results depend on them:
 
     - {e trivial-function inlining}: single-[Return] leaf functions are
-      inlined at direct call sites before guarding, eliminating their
-      entry/exit guards (this is why lld is 11% under LXFI vs 93%
+      inlined at direct call sites whose arguments make no calls,
+      before guarding, eliminating their entry/exit guards (this is why lld is 11% under LXFI vs 93%
       under binary-rewriting XFI);
     - {e safe-store elision}: stores at constant offsets inside a
       function-local [Alloca] buffer, provably in bounds, need no
@@ -56,44 +56,29 @@ let empty_report =
 
 (** {1 Trivial-function inlining} *)
 
+let has_call e = fold_expr (fun found -> function Call _ -> true | _ -> found) false e
+
+let count_var name e = fold_expr (fun n -> function Var x when x = name -> n + 1 | _ -> n) 0 e
+
 (** A function is trivial when its body is a single [Return] of an
     expression with no calls, and each parameter occurs at most once
     (so substituting argument expressions cannot duplicate effects). *)
-let rec expr_has_call = function
-  | Const _ | Var _ | Glob _ | Funcaddr _ | Extaddr _ -> false
-  | Load (_, e) -> expr_has_call e
-  | Binop (_, _, a, b) -> expr_has_call a || expr_has_call b
-  | Call _ -> true
-
-let rec count_var name = function
-  | Var x -> if x = name then 1 else 0
-  | Const _ | Glob _ | Funcaddr _ | Extaddr _ -> 0
-  | Load (_, e) -> count_var name e
-  | Binop (_, _, a, b) -> count_var name a + count_var name b
-  | Call (c, args) ->
-      let n = match c with Indirect e -> count_var name e | _ -> 0 in
-      List.fold_left (fun acc e -> acc + count_var name e) n args
-
 let trivial_body f =
   match f.body with
-  | [ Return e ] when (not (expr_has_call e)) && expr_size e <= 12
+  | [ Return e ] when (not (has_call e)) && expr_size e <= 12
                       && List.for_all (fun p -> count_var p e <= 1) f.params ->
       Some e
   | _ -> None
 
-let rec subst map = function
-  | Var x as e -> ( match List.assoc_opt x map with Some r -> r | None -> e)
-  | (Const _ | Glob _ | Funcaddr _ | Extaddr _) as e -> e
-  | Load (w, e) -> Load (w, subst map e)
-  | Binop (op, w, a, b) -> Binop (op, w, subst map a, subst map b)
-  | Call (c, args) ->
-      let c = match c with Indirect e -> Indirect (subst map e) | c -> c in
-      Call (c, List.map (subst map) args)
+let subst map =
+  map_expr (function Var x as e -> Option.value (List.assoc_opt x map) ~default:e | e -> e)
 
 (** One inlining pass over the whole program; [inlined] counts replaced
     call sites and [inlined_names] records which functions were
     substituted somewhere (only those may later be dropped — a module's
-    entry points must survive even when their bodies are trivial). *)
+    entry points must survive even when their bodies are trivial).  A
+    call site whose arguments themselves call is kept: substitution
+    could drop an argument's call or run it out of order. *)
 let inline_pass prog inlined inlined_names =
   let candidates =
     List.filter_map
@@ -102,79 +87,19 @@ let inline_pass prog inlined inlined_names =
   in
   if candidates = [] then prog
   else begin
-    let rec rewrite_expr e =
-      match e with
-      | Call (Direct name, args) -> (
-          let args = List.map rewrite_expr args in
+    let inline_call = function
+      | Call (Direct name, args) as e -> (
           match List.assoc_opt name candidates with
-          | Some (params, body) when List.length params = List.length args ->
+          | Some (params, body)
+            when List.length params = List.length args && not (List.exists has_call args) ->
               incr inlined;
               Hashtbl.replace inlined_names name ();
               subst (List.combine params args) body
-          | _ -> Call (Direct name, args))
-      | Call (c, args) ->
-          let c = match c with Indirect t -> Indirect (rewrite_expr t) | c -> c in
-          Call (c, List.map rewrite_expr args)
-      | Load (w, e) -> Load (w, rewrite_expr e)
-      | Binop (op, w, a, b) -> Binop (op, w, rewrite_expr a, rewrite_expr b)
-      | (Const _ | Var _ | Glob _ | Funcaddr _ | Extaddr _) as e -> e
+          | _ -> e)
+      | e -> e
     in
-    let rec rewrite_stmt = function
-      | Let (x, e) -> Let (x, rewrite_expr e)
-      | Alloca _ as s -> s
-      | Store (w, a, v) -> Store (w, rewrite_expr a, rewrite_expr v)
-      | If (c, t, e) -> If (rewrite_expr c, List.map rewrite_stmt t, List.map rewrite_stmt e)
-      | While (c, b) -> While (rewrite_expr c, List.map rewrite_stmt b)
-      | Expr e -> Expr (rewrite_expr e)
-      | Return e -> Return (rewrite_expr e)
-      | Guard _ as s -> s
-    in
-    { prog with funcs = List.map (fun f -> { f with body = List.map rewrite_stmt f.body }) prog.funcs }
+    { prog with funcs = List.map (fun f -> { f with body = map_stmts inline_call f.body }) prog.funcs }
   end
-
-(** Is [fname]'s address taken anywhere (stored in globals or used as a
-    [Funcaddr] expression)?  Address-taken functions must survive
-    inlining. *)
-let address_taken prog fname =
-  let rec in_expr = function
-    | Funcaddr f -> f = fname
-    | Const _ | Var _ | Glob _ | Extaddr _ -> false
-    | Load (_, e) -> in_expr e
-    | Binop (_, _, a, b) -> in_expr a || in_expr b
-    | Call (c, args) ->
-        (match c with Indirect e -> in_expr e | _ -> false)
-        || List.exists in_expr args
-  in
-  let rec in_stmt = function
-    | Let (_, e) | Expr e | Return e -> in_expr e
-    | Alloca _ | Guard _ -> false
-    | Store (_, a, v) -> in_expr a || in_expr v
-    | If (c, t, e) -> in_expr c || List.exists in_stmt t || List.exists in_stmt e
-    | While (c, b) -> in_expr c || List.exists in_stmt b
-  in
-  List.exists
-    (fun g -> List.exists (function Ifunc (_, f) -> f = fname | _ -> false) g.ginit)
-    prog.globals
-  || List.exists (fun f -> List.exists in_stmt f.body) prog.funcs
-
-let called_directly prog fname =
-  let rec in_expr = function
-    | Call (Direct f, args) -> f = fname || List.exists in_expr args
-    | Call (c, args) ->
-        (match c with Indirect e -> in_expr e | _ -> false)
-        || List.exists in_expr args
-    | Load (_, e) -> in_expr e
-    | Binop (_, _, a, b) -> in_expr a || in_expr b
-    | Const _ | Var _ | Glob _ | Funcaddr _ | Extaddr _ -> false
-  in
-  let rec in_stmt = function
-    | Let (_, e) | Expr e | Return e -> in_expr e
-    | Alloca _ | Guard _ -> false
-    | Store (_, a, v) -> in_expr a || in_expr v
-    | If (c, t, e) -> in_expr c || List.exists in_stmt t || List.exists in_stmt e
-    | While (c, b) -> in_expr c || List.exists in_stmt b
-  in
-  List.exists (fun f -> f.fname <> fname && List.exists in_stmt f.body) prog.funcs
 
 (** {1 Safe-store analysis} *)
 
@@ -183,18 +108,14 @@ let called_directly prog fname =
     body. *)
 let stable_allocas body =
   let allocas = Hashtbl.create 8 in
-  let rec scan = function
+  let scan () = function
     | Alloca (x, n) ->
         if Hashtbl.mem allocas x then Hashtbl.replace allocas x None
         else Hashtbl.replace allocas x (Some n)
     | Let (x, _) -> if Hashtbl.mem allocas x then Hashtbl.replace allocas x None
-    | If (_, t, e) ->
-        List.iter scan t;
-        List.iter scan e
-    | While (_, b) -> List.iter scan b
-    | Store _ | Expr _ | Return _ | Guard _ -> ()
+    | _ -> ()
   in
-  List.iter scan body;
+  fold_stmts ~stmt:scan (fun () _ -> ()) () body;
   allocas
 
 (** A store address provably inside a stable alloca: [buf] or
@@ -227,15 +148,9 @@ let fresh c =
 
 (** Expressions may not contain indirect calls (they must be hoisted to
     statement position so the guard can precede them). *)
-let rec reject_nested_indcall fname = function
-  | Call (Indirect _, _) ->
-      fail "function %s: indirect call in subexpression; hoist it to a statement" fname
-  | Call (_, args) -> List.iter (reject_nested_indcall fname) args
-  | Load (_, e) -> reject_nested_indcall fname e
-  | Binop (_, _, a, b) ->
-      reject_nested_indcall fname a;
-      reject_nested_indcall fname b
-  | Const _ | Var _ | Glob _ | Funcaddr _ | Extaddr _ -> ()
+let reject_nested_indcall fname e =
+  if fold_expr (fun found -> function Call (Indirect _, _) -> true | _ -> found) false e then
+    fail "function %s: indirect call in subexpression; hoist it to a statement" fname
 
 let check_args_only fname args = List.iter (reject_nested_indcall fname) args
 
@@ -303,10 +218,17 @@ let inline_program prog inlined =
   in
   let p = fixpoint prog 4 in
   (* Drop only leaves that were actually inlined away and are no longer
-     referenced; entry points keep their definitions. *)
+     referenced (address taken, or called by another function); entry
+     points keep their definitions. *)
+  let referenced =
+    lazy
+      (fst (address_taken p)
+      @ List.concat_map
+          (fun f -> fold_stmts (fun acc -> function Call (Direct g, _) when g <> f.fname -> g :: acc | _ -> acc) [] f.body)
+          p.funcs)
+  in
   let keep f =
-    (not (Hashtbl.mem inlined_names f.fname))
-    || f.export <> None || address_taken p f.fname || called_directly p f.fname
+    (not (Hashtbl.mem inlined_names f.fname)) || f.export <> None || List.mem f.fname (Lazy.force referenced)
   in
   { p with funcs = List.filter keep p.funcs }
 

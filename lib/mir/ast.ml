@@ -111,29 +111,81 @@ let find_func prog name = List.find_opt (fun f -> f.fname = name) prog.funcs
 
 let find_global prog name = List.find_opt (fun g -> g.gname = name) prog.globals
 
+(* One fold and one map over MIR; see the interface for their
+   contracts and DESIGN.md ("Walking MIR") for who uses them. *)
+
+let rec fold_expr f acc e =
+  let acc = f acc e in
+  match e with
+  | Const _ | Var _ | Glob _ | Funcaddr _ | Extaddr _ -> acc
+  | Load (_, a) -> fold_expr f acc a
+  | Binop (_, _, a, b) -> fold_expr f (fold_expr f acc a) b
+  | Call (Indirect t, args) -> fold_exprs f (fold_expr f acc t) args
+  | Call ((Direct _ | Ext _), args) -> fold_exprs f acc args
+
+and fold_exprs f acc = function [] -> acc | e :: es -> fold_exprs f (fold_expr f acc e) es
+
+let fold_stmts ?(stmt = fun acc _ -> acc) f acc body =
+  let rec go acc = function
+    | [] -> acc
+    | s :: rest ->
+        let acc = stmt acc s in
+        go
+          (match s with
+          | Let (_, e) | Expr e | Return e | Guard (Gwrite (_, e) | Gindcall e) -> fold_expr f acc e
+          | Alloca _ -> acc
+          | Store (_, a, v) -> fold_expr f (fold_expr f acc a) v
+          | If (c, t, e) -> go (go (fold_expr f acc c) t) e
+          | While (c, b) -> go (fold_expr f acc c) b)
+          rest
+  in
+  go acc body
+
+let rec map_expr f e =
+  f
+    (match e with
+    | Const _ | Var _ | Glob _ | Funcaddr _ | Extaddr _ -> e
+    | Load (w, a) -> Load (w, map_expr f a)
+    | Binop (op, w, a, b) -> Binop (op, w, map_expr f a, map_expr f b)
+    | Call (Indirect t, args) -> Call (Indirect (map_expr f t), map_exprs f args)
+    | Call (c, args) -> Call (c, map_exprs f args))
+
+and map_exprs f = function [] -> [] | e :: es -> let e = map_expr f e in e :: map_exprs f es
+
+let rec map_stmts f body =
+  List.map
+    (function
+      | Let (x, e) -> Let (x, map_expr f e)
+      | Alloca _ as s -> s
+      | Store (w, a, v) -> Store (w, map_expr f a, map_expr f v)
+      | If (c, t, e) -> If (map_expr f c, map_stmts f t, map_stmts f e)
+      | While (c, b) -> While (map_expr f c, map_stmts f b)
+      | Expr e -> Expr (map_expr f e)
+      | Return e -> Return (map_expr f e)
+      | Guard (Gwrite (w, e)) -> Guard (Gwrite (w, map_expr f e))
+      | Guard (Gindcall e) -> Guard (Gindcall (map_expr f e)))
+    body
+
+let address_taken prog =
+  let own = ref [] and ext = ref [] in
+  let add r x = r := x :: !r in
+  List.iter
+    (fun f ->
+      fold_stmts (fun () -> function Funcaddr g -> add own g | Extaddr x -> add ext x | _ -> ()) () f.body)
+    prog.funcs;
+  List.iter
+    (fun g -> List.iter (function Ifunc (_, f) -> add own f | Iext (_, x) -> add ext x | Iword _ -> ()) g.ginit)
+    prog.globals;
+  (List.sort_uniq compare !own, List.sort_uniq compare !ext)
+
 (** Structural size of a program or function in IR nodes — the "code
     size" metric used by the Figure 11 reproduction (Δ code size under
-    instrumentation). *)
-let rec expr_size = function
-  | Const _ | Var _ | Glob _ | Funcaddr _ | Extaddr _ -> 1
-  | Load (_, e) -> 1 + expr_size e
-  | Binop (_, _, a, b) -> 1 + expr_size a + expr_size b
-  | Call (c, args) ->
-      let csz = match c with Indirect e -> 1 + expr_size e | _ -> 1 in
-      csz + List.fold_left (fun acc e -> acc + expr_size e) 0 args
+    instrumentation).  Every expression node counts one; a statement
+    adds one of its own, except [Expr] (none) and [Guard] (two). *)
+let expr_size e = fold_expr (fun n _ -> n + 1) 0 e
 
-let rec stmt_size = function
-  | Let (_, e) -> 1 + expr_size e
-  | Alloca _ -> 1
-  | Store (_, a, v) -> 1 + expr_size a + expr_size v
-  | If (c, t, e) -> 1 + expr_size c + stmts_size t + stmts_size e
-  | While (c, b) -> 1 + expr_size c + stmts_size b
-  | Expr e -> expr_size e
-  | Return e -> 1 + expr_size e
-  | Guard (Gwrite (_, e)) -> 2 + expr_size e
-  | Guard (Gindcall e) -> 2 + expr_size e
-
-and stmts_size l = List.fold_left (fun acc s -> acc + stmt_size s) 0 l
+let stmts_size l =
+  fold_stmts ~stmt:(fun n -> function Expr _ -> n | Guard _ -> n + 2 | _ -> n + 1) (fun n _ -> n + 1) 0 l
 
 let func_size f = 2 + stmts_size f.body
 

@@ -99,11 +99,37 @@ type prog = {
 val find_func : prog -> string -> func option
 val find_global : prog -> string -> glob option
 
+(** {1 Walking MIR}
+
+    Analyses that collect facts or rewrite leaves use this fold and
+    map; those with their own evaluation order or control flow keep
+    their own recursion (DESIGN.md, "Walking MIR"). *)
+
+val fold_expr : ('a -> expr -> 'a) -> 'a -> expr -> 'a
+(** Visits every node once, pre-order, left to right: a node before
+    its operands, an indirect call's target before its arguments. *)
+
+val fold_stmts : ?stmt:('a -> stmt -> 'a) -> ('a -> expr -> 'a) -> 'a -> stmt list -> 'a
+(** Calls [stmt] on each statement, nested ones included, before
+    folding over its expressions (guard operands too) and nested
+    statements, in source order. *)
+
+val map_expr : (expr -> expr) -> expr -> expr
+(** Bottom-up: [f] sees each node with its operands already mapped,
+    and its result is not walked again.  The order of [f]'s calls
+    among siblings is unspecified. *)
+
+val map_stmts : (expr -> expr) -> stmt list -> stmt list
+(** [map_expr f] on every expression of a body, guard operands too. *)
+
+val address_taken : prog -> string list * string list
+(** [(own functions, imports)] whose address the code or an
+    initialiser takes; sorted, without duplicates. *)
+
 (** Structural code-size metric in IR nodes (the Figure 11 Δcode
     basis). *)
 
 val expr_size : expr -> int
-val stmt_size : stmt -> int
 val stmts_size : stmt list -> int
 val func_size : func -> int
 val prog_size : prog -> int

@@ -304,6 +304,31 @@ let test_flow_undefined_callee () =
   Alcotest.(check bool) "flow-extraction error" true (has_rule "flow-extraction" fs);
   Alcotest.(check bool) "is an error" true (List.exists F.is_error fs)
 
+(* A guard's operand is evaluated like an expression statement: a
+   kexport it calls is a graph node, with edges in program order.  The
+   rewriter only inserts guards on variables, so this shape reaches the
+   extractor only from parsed MIR. *)
+let test_flow_guard_operand () =
+  let p =
+    Mir.Parser.parse
+      {|module m
+imports: kmalloc, kfree, spin_lock
+
+func f(n) {
+  p = ext:kmalloc(n);
+  lxfi_guard_indcall(ext:kfree(p));
+  ext:spin_lock(p);
+  return 0;
+}
+|}
+  in
+  let g = Check.Apiflow.extract (flow_env ()) p in
+  Alcotest.(check (list string)) "guard operand's call is a node"
+    [ "kfree"; "kmalloc"; "spin_lock" ] g.Check.Apiflow.g_nodes;
+  Alcotest.(check (list (pair string string))) "edges run through the guard"
+    [ ("kfree", "spin_lock"); ("kmalloc", "kfree"); ("spin_lock", "kmalloc") ]
+    g.Check.Apiflow.g_edges
+
 (* Extraction soundness on the fuzzer's well-behaved modules: the
    loader self-extracts this graph under [flow_integrity] and the
    runtime automaton checks every kernel-API call against it, so any
@@ -412,6 +437,7 @@ let () =
         [
           Alcotest.test_case "graph shape" `Quick test_flow_graph_shape;
           Alcotest.test_case "undefined callee" `Quick test_flow_undefined_callee;
+          Alcotest.test_case "guard operand summarised" `Quick test_flow_guard_operand;
           QCheck_alcotest.to_alcotest prop_flow_soundness;
         ] );
       ( "acceptance",

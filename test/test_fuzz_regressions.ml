@@ -94,14 +94,9 @@ let test_campaign_deterministic () =
 (* The shrinker on a real mutant: result still fails with the same
    signature and is no larger than the input. *)
 let prog_weight (p : Mir.Ast.prog) =
-  let rec stmts ss = List.fold_left (fun a s -> a + stmt s) 0 ss
-  and stmt = function
-    | Mir.Ast.If (_, t, e) -> 1 + stmts t + stmts e
-    | Mir.Ast.While (_, b) -> 1 + stmts b
-    | _ -> 1
-  in
+  let stmts = Mir.Ast.fold_stmts ~stmt:(fun n _ -> n + 1) (fun n _ -> n) in
   List.length p.Mir.Ast.globals + List.length p.Mir.Ast.imports
-  + List.fold_left (fun a (f : Mir.Ast.func) -> a + 1 + stmts f.Mir.Ast.body) 0 p.Mir.Ast.funcs
+  + List.fold_left (fun a (f : Mir.Ast.func) -> stmts (a + 1) f.Mir.Ast.body) 0 p.Mir.Ast.funcs
 
 let test_shrinker_preserves_signature () =
   let canary = Fuzz.Harness.canary_addr_of Fuzz.Harness.mutant_config in

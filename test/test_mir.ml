@@ -241,6 +241,71 @@ let test_code_size_metric () =
   Alcotest.(check bool) "size is monotone" true
     (Mir.Ast.prog_size bigger > Mir.Ast.prog_size small)
 
+(* The fold's contract: every statement, then every expression node
+   once, pre-order and left to right, an indirect call's target before
+   its arguments, guard operands included. *)
+let test_fold_order () =
+  let open Mir.Ast in
+  let body =
+    [
+      Let ("x", Load (W64, Glob "g"));
+      Alloca ("buf", 8);
+      Store (W64, Var "buf", Binop (Add, W64, Var "x", Const 1L));
+      If (Var "x", [ Expr (Call (Ext "kfree", [ Extaddr "kmalloc" ])) ], [ Guard (Gwrite (W32, Var "buf")) ]);
+      While (Const 0L, [ Guard (Gindcall (Funcaddr "h")) ]);
+      Return (Call (Indirect (Var "fp"), [ Call (Direct "h", [ Var "y" ]); Const 2L ]));
+    ]
+  in
+  let stmt acc s =
+    (match s with
+    | Let _ -> "let" | Alloca _ -> "alloca" | Store _ -> "store" | If _ -> "if" | While _ -> "while"
+    | Expr _ -> "expr" | Return _ -> "return" | Guard (Gwrite _) -> "gwrite" | Guard (Gindcall _) -> "gindcall")
+    :: acc
+  in
+  let expr acc e =
+    (match e with
+    | Const n -> Int64.to_string n | Var x -> x | Glob g -> "&" ^ g | Funcaddr f -> "&&" ^ f
+    | Extaddr f -> "&&ext:" ^ f | Load _ -> "load" | Binop _ -> "binop" | Call (Direct f, _) -> "call:" ^ f
+    | Call (Ext f, _) -> "ext:" ^ f | Call (Indirect _, _) -> "indcall")
+    :: acc
+  in
+  Alcotest.(check (list string)) "visit order"
+    [
+      "let"; "load"; "&g"; "alloca"; "store"; "buf"; "binop"; "x"; "1"; "if"; "x"; "expr"; "ext:kfree";
+      "&&ext:kmalloc"; "gwrite"; "buf"; "while"; "0"; "gindcall"; "&&h"; "return"; "indcall"; "fp";
+      "call:h"; "y"; "2";
+    ]
+    (List.rev (fold_stmts ~stmt expr [] body));
+  Alcotest.(check int) "expr_size counts every node" 5
+    (expr_size (Call (Indirect (Var "fp"), [ Call (Direct "h", [ Var "y" ]); Const 2L ])));
+  (* the map is bottom-up and does not re-walk what [f] returns *)
+  let wrap = function Var x -> Load (W64, Var x) | e -> e in
+  Alcotest.(check bool) "map wraps each variable once" true
+    (map_stmts wrap [ Guard (Gwrite (W64, Binop (Add, W64, Var "p", Var "q"))) ]
+    = [ Guard (Gwrite (W64, Binop (Add, W64, Load (W64, Var "p"), Load (W64, Var "q")))) ])
+
+(* [map_stmts Fun.id] rebuilds every body structurally equal: the fuzz
+   corpus and generated modules cover the constructors modules use. *)
+let test_map_identity () =
+  let dir = if Sys.file_exists "corpus" then "corpus" else "test/corpus" in
+  let corpus =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".mir")
+    |> List.map (fun f -> Mir.Parser.parse (In_channel.with_open_text (Filename.concat dir f) In_channel.input_all))
+  in
+  let generated =
+    List.init 25 (fun seed -> (Fuzz.Gen.case_of_rand (Fuzz.Rng.rand (Fuzz.Rng.create ~seed))).Fuzz.Gen.c_prog)
+  in
+  Alcotest.(check bool) "corpus present" true (corpus <> []);
+  List.iter
+    (fun (p : Mir.Ast.prog) ->
+      List.iter
+        (fun (f : Mir.Ast.func) ->
+          if Mir.Ast.map_stmts Fun.id f.Mir.Ast.body <> f.Mir.Ast.body then
+            Alcotest.failf "%s/%s: map_stmts Fun.id changed the body" p.Mir.Ast.pname f.Mir.Ast.fname)
+        p.Mir.Ast.funcs)
+    (corpus @ generated)
+
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
@@ -279,6 +344,8 @@ let () =
       ( "tools",
         [
           Alcotest.test_case "code size metric" `Quick test_code_size_metric;
+          Alcotest.test_case "fold visit order" `Quick test_fold_order;
+          Alcotest.test_case "map identity" `Quick test_map_identity;
           Alcotest.test_case "printer" `Quick test_printer_smoke;
         ] );
     ]

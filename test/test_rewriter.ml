@@ -12,17 +12,39 @@ let cfg_noopt =
 
 let mk funcs = prog "t" ~imports:[] ~globals:[ global "g" 64 ] ~funcs
 
-let rec count_guards_stmt = function
-  | Mir.Ast.Guard _ -> 1
-  | Mir.Ast.If (_, a, b) -> count_guards a + count_guards b
-  | Mir.Ast.While (_, b) -> count_guards b
-  | _ -> 0
-
-and count_guards stmts = List.fold_left (fun acc s -> acc + count_guards_stmt s) 0 stmts
-
 let guards_in prog =
-  List.fold_left (fun acc (f : Mir.Ast.func) -> acc + count_guards f.Mir.Ast.body) 0
-    prog.Mir.Ast.funcs
+  List.fold_left
+    (fun acc (f : Mir.Ast.func) ->
+      Mir.Ast.fold_stmts
+        ~stmt:(fun n -> function Mir.Ast.Guard _ -> n + 1 | _ -> n)
+        (fun n _ -> n) acc f.Mir.Ast.body)
+    0 prog.Mir.Ast.funcs
+
+(* Run [f] of a program on a bare interpreter: guards and hooks are
+   no-ops, so an original and its instrumented form must agree. *)
+let run_f ?(args = []) prog =
+  let kst = Kernel_sim.Kstate.boot () in
+  let globals = Hashtbl.create 4 in
+  List.iter
+    (fun (g : Mir.Ast.glob) ->
+      Hashtbl.replace globals g.Mir.Ast.gname
+        (Kernel_sim.Kstate.alloc_module_area kst (max 16 g.Mir.Ast.gsize)))
+    prog.Mir.Ast.globals;
+  let ctx =
+    Mir.Interp.create ~kst ~prog
+      ~global_addr:(Hashtbl.find globals)
+      ~func_addr:(fun f -> Hashtbl.hash f)
+      ~ext_addr:(fun _ -> 0)
+      ~call_ext:(fun _ _ -> 0L)
+      ~guard_write:(fun ~addr:_ ~size:_ -> ())
+      ~guard_indcall:(fun ~target:_ -> ())
+      ~on_entry:(fun _ -> ())
+      ~on_exit:(fun _ -> ())
+      ~hooks_enabled:false
+      ~stack_base:(Kernel_sim.Kstate.alloc_module_area kst 4096)
+      ~stack_len:4096
+  in
+  Mir.Interp.run ctx "f" args
 
 let test_store_gets_guard () =
   let p = mk [ func "f" [] [ store64 (glob "g") (ii 1); ret0 ] ] in
@@ -128,32 +150,37 @@ let test_inlining_preserves_semantics () =
         func "f" [ "n" ] [ ret (call "triple" [ v "n" ] +: call "triple" [ ii 2 ]) ];
       ]
   in
-  let run prog =
-    let kst = Kernel_sim.Kstate.boot () in
-    let globals = Hashtbl.create 4 in
-    List.iter
-      (fun (g : Mir.Ast.glob) ->
-        Hashtbl.replace globals g.Mir.Ast.gname
-          (Kernel_sim.Kstate.alloc_module_area kst (max 16 g.Mir.Ast.gsize)))
-      prog.Mir.Ast.globals;
-    let ctx =
-      Mir.Interp.create ~kst ~prog
-        ~global_addr:(Hashtbl.find globals)
-        ~func_addr:(fun f -> Hashtbl.hash f)
-        ~ext_addr:(fun _ -> 0)
-        ~call_ext:(fun _ _ -> 0L)
-        ~guard_write:(fun ~addr:_ ~size:_ -> ())
-        ~guard_indcall:(fun ~target:_ -> ())
-        ~on_entry:(fun _ -> ())
-        ~on_exit:(fun _ -> ())
-        ~hooks_enabled:false
-        ~stack_base:(Kernel_sim.Kstate.alloc_module_area kst 4096)
-        ~stack_len:4096
-    in
-    Mir.Interp.run ctx "f" [ 5L ]
-  in
   let p', _ = RW.instrument cfg p in
-  Alcotest.(check int64) "same result" (run p) (run p')
+  Alcotest.(check int64) "same result" (run_f ~args:[ 5L ] p) (run_f ~args:[ 5L ] p')
+
+(* Inlining substitutes argument expressions into the callee's body, so
+   a call inside an argument could be dropped (the parameter is unused)
+   or reordered (the parameters are used out of order).  Such sites
+   stay calls. *)
+let bump = func "bump" [] [ store64 (glob "g") (load64 (glob "g") +: ii 1); ret (load64 (glob "g")) ]
+
+let check_not_inlined name p =
+  let p', r = RW.instrument cfg p in
+  Alcotest.(check int) (name ^ ": site kept") 0 r.RW.r_inlined_calls;
+  Alcotest.(check int64) (name ^ ": same result") (run_f p) (run_f p')
+
+let test_inlining_keeps_dropped_arg_call () =
+  check_not_inlined "unused parameter"
+    (mk
+       [
+         func "k" [ "x" ] [ ret (ii 7) ];
+         bump;
+         func "f" [] [ expr (call "k" [ call "bump" [] ]); ret (load64 (glob "g")) ];
+       ])
+
+let test_inlining_keeps_arg_call_order () =
+  check_not_inlined "reordered parameters"
+    (mk
+       [
+         func "sub" [ "a"; "b" ] [ ret (v "b" -: v "a") ];
+         bump;
+         func "f" [] [ ret (call "sub" [ load64 (glob "g"); call "bump" [] ]) ];
+       ])
 
 let test_no_double_duplication_of_effects () =
   (* a trivial function whose parameter appears twice must NOT be
@@ -205,6 +232,51 @@ let test_double_instrumentation_rejected () =
   | exception RW.Rewrite_error _ -> ()
   | _ -> Alcotest.fail "re-instrumenting must fail"
 
+(* The rewriter's report for every catalog module and Figure 11
+   program: IR size before and after, write guards, elided stores,
+   indirect-call guards, inlined calls, dropped functions. *)
+let report_golden =
+  [
+    ("e1000", [ 509; 712; 37; 0; 0; 0; 0 ]);
+    ("snd_intel8x0", [ 168; 232; 10; 0; 0; 0; 0 ]);
+    ("snd_ens1370", [ 168; 232; 10; 0; 0; 0; 0 ]);
+    ("rds", [ 265; 340; 11; 0; 0; 0; 0 ]);
+    ("can", [ 241; 316; 11; 0; 0; 0; 0 ]);
+    ("can_bcm", [ 327; 427; 16; 0; 0; 0; 0 ]);
+    ("econet", [ 279; 354; 11; 0; 0; 0; 0 ]);
+    ("dm_crypt", [ 122; 149; 5; 0; 0; 1; 1 ]);
+    ("dm_zero", [ 61; 79; 2; 0; 0; 0; 0 ]);
+    ("dm_snapshot", [ 152; 177; 3; 0; 0; 0; 0 ]);
+    ("hotlist", [ 82; 103; 3; 0; 0; 0; 0 ]);
+    ("lld", [ 164; 210; 8; 0; 0; 5; 2 ]);
+    ("MD5", [ 587; 611; 4; 28; 0; 0; 0 ]);
+  ]
+
+let test_report_golden () =
+  let sys = Kmodules.Ksys.boot cfg in
+  let progs =
+    List.map
+      (fun (s : Kmodules.Mod_common.spec) -> (s.Kmodules.Mod_common.name, s.Kmodules.Mod_common.make sys))
+      Kmodules.Catalog.all
+    @ Workloads.Microbench.[ ("hotlist", hotlist_prog); ("lld", lld_prog); ("MD5", md5_prog) ]
+  in
+  Alcotest.(check (list string)) "programs" (List.map fst report_golden) (List.map fst progs);
+  List.iter2
+    (fun (name, want) (_, prog) ->
+      let _, r = RW.instrument cfg prog in
+      Alcotest.(check (list int)) name want
+        RW.
+          [
+            r.r_orig_size;
+            r.r_inst_size;
+            r.r_write_guards;
+            r.r_write_elided;
+            r.r_indcall_guards;
+            r.r_inlined_calls;
+            r.r_dropped_funcs;
+          ])
+    report_golden progs
+
 let () =
   Alcotest.run "rewriter"
     [
@@ -227,5 +299,10 @@ let () =
             test_no_double_duplication_of_effects;
           Alcotest.test_case "exports survive" `Quick test_exported_functions_survive_inlining;
           Alcotest.test_case "address-taken survive" `Quick test_address_taken_survive;
+          Alcotest.test_case "argument call not dropped" `Quick
+            test_inlining_keeps_dropped_arg_call;
+          Alcotest.test_case "argument call not reordered" `Quick
+            test_inlining_keeps_arg_call_order;
         ] );
+      ("report", [ Alcotest.test_case "golden per module" `Quick test_report_golden ]);
     ]
