@@ -13,6 +13,7 @@ type slot = {
   sl_params : string list;  (** parameter names, excluding the return value *)
   sl_annot : Ast.t;
   sl_ahash : int64;
+  sl_code : Compiled.t;  (** [sl_annot] compiled against [sl_params] *)
 }
 
 type t = { slots : (string, slot) Hashtbl.t }
@@ -40,29 +41,36 @@ let ok_exn = function
   | Ok v -> v
   | Error e -> invalid_arg (Printf.sprintf "Registry.define: %s" (error_to_string e))
 
-(** Parse-and-hash results, one per [(params, source)] pair seen in
-    this process.  Annotation sources are static facts of the kernel
-    API, so every boot would otherwise re-parse and re-hash the same
-    strings.  Parse errors are kept too; validation is not, since it
-    belongs to each define. *)
-let compiled : (string list * string, (Ast.t * int64, Parser.error) result) Hashtbl.t =
+(** Parse, hash and compile results, one per [(params, source)] pair
+    seen in this process.  Annotation sources are static facts of the
+    kernel API, so every boot would otherwise redo all three for the
+    same strings.  Parse errors are kept too; validation is not, since
+    it belongs to each define. *)
+let compiled :
+    (string list * string, (Ast.t * int64 * Compiled.t, Parser.error) result) Hashtbl.t =
   Hashtbl.create 128
 
 let compile ~params src =
   match Hashtbl.find_opt compiled (params, src) with
   | Some r -> r
   | None ->
-      let r = Result.map (fun a -> (a, Hash.of_annot ~params a)) (Parser.parse src) in
+      let r =
+        Result.map
+          (fun a -> (a, Hash.of_annot ~params a, Compiled.compile ~params a))
+          (Parser.parse src)
+      in
       Hashtbl.replace compiled (params, src) r;
       r
 
-let add t ~name ~params ~annot ~ahash : (slot, error) result =
+let add t ~name ~params ~annot ~ahash ~code : (slot, error) result =
   if Hashtbl.mem t.slots name then Error (Duplicate name)
   else
     match Ast.validate ~params annot with
     | Error msg -> Error (Invalid { name; msg })
     | Ok () ->
-        let s = { sl_name = name; sl_params = params; sl_annot = annot; sl_ahash = ahash } in
+        let s =
+          { sl_name = name; sl_params = params; sl_annot = annot; sl_ahash = ahash; sl_code = code }
+        in
         Hashtbl.replace t.slots name s;
         Ok s
 
@@ -71,12 +79,13 @@ let add t ~name ~params ~annot ~ahash : (slot, error) result =
     registry is always internally consistent. *)
 let define t ~name ~params ~annot =
   add t ~name ~params ~annot ~ahash:(Hash.of_annot ~params annot)
+    ~code:(Compiled.compile ~params annot)
 
 (** Parses [annot_src] first, through {!compile}. *)
 let define_src t ~name ~params ~annot_src : (slot, error) result =
   match compile ~params annot_src with
   | Error err -> Error (Parse { name; src = annot_src; err })
-  | Ok (annot, ahash) -> add t ~name ~params ~annot ~ahash
+  | Ok (annot, ahash, code) -> add t ~name ~params ~annot ~ahash ~code
 
 let define_exn t ~name ~params ~annot_src = ok_exn (define_src t ~name ~params ~annot_src)
 

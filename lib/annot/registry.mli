@@ -8,6 +8,7 @@ type slot = {
   sl_params : string list;
   sl_annot : Ast.t;
   sl_ahash : int64;
+  sl_code : Compiled.t;  (** [sl_annot] compiled against [sl_params] *)
 }
 
 type t = { slots : (string, slot) Hashtbl.t }
@@ -36,11 +37,12 @@ val define : t -> name:string -> params:string list -> annot:Ast.t -> (slot, err
     [params] (unknown parameter names, [return] in pre clauses) so
     every slot in the registry is internally consistent. *)
 
-val compile : params:string list -> string -> (Ast.t * int64, Parser.error) result
-(** Parse an annotation source and hash it under [params].  Memoized
-    per process on [(params, source)], errors included: each distinct
-    annotation is parsed and hashed once however many systems boot.
-    Does not validate against [params]. *)
+val compile :
+  params:string list -> string -> (Ast.t * int64 * Compiled.t, Parser.error) result
+(** Parse an annotation source, hash it and compile it under [params].
+    Memoized per process on [(params, source)], errors included: each
+    distinct annotation is parsed, hashed and compiled once however
+    many systems boot.  Does not validate against [params]. *)
 
 val define_src :
   t -> name:string -> params:string list -> annot_src:string -> (slot, error) result

@@ -164,13 +164,72 @@ type graph = {
 }
 
 (** [permits g ~pos k] — may the module call kexport [k] from automaton
-    position [pos] ([None] = start)? *)
+    position [pos] ([None] = start)?  A scan of the sorted lists: the
+    reference the runtime's {!Index} is checked against. *)
 let permits g ~pos k =
   match pos with
   | None -> List.mem k g.g_start
   | Some p -> List.mem (p, k) g.g_edges
 
 let has_node g k = List.mem k g.g_nodes
+
+(** A graph compiled for the runtime automaton, built once when the
+    graph is installed: every name the graph mentions gets a dense id,
+    and each position carries its start flag and its successors as a
+    bitset over ids, so a step is two table lookups instead of a scan
+    of the edge list.  The graph's sorted lists stay the canonical,
+    printed form. *)
+module Index = struct
+  type pos = {
+    id : int;
+    node : bool;  (** listed in [g_nodes] *)
+    start : bool;  (** listed in [g_start] *)
+    succ : Bytes.t;  (** bit [id k] set iff [(this, k)] is an edge *)
+  }
+
+  type t = (string, pos) Hashtbl.t
+
+  let make (g : graph) : t =
+    let ids = Hashtbl.create 32 in
+    List.iter
+      (fun k -> if not (Hashtbl.mem ids k) then Hashtbl.replace ids k (Hashtbl.length ids))
+      (g.g_nodes @ g.g_start @ List.concat_map (fun (a, b) -> [ a; b ]) g.g_edges);
+    let n = Hashtbl.length ids in
+    let ix = Hashtbl.create (max 1 n) in
+    Hashtbl.iter
+      (fun k id ->
+        Hashtbl.replace ix k
+          {
+            id;
+            node = List.mem k g.g_nodes;
+            start = List.mem k g.g_start;
+            succ = Bytes.make ((n + 7) / 8) '\000';
+          })
+      ids;
+    List.iter
+      (fun (a, b) ->
+        let succ = (Hashtbl.find ix a).succ and j = Hashtbl.find ids b in
+        Bytes.set_uint8 succ (j lsr 3) (Bytes.get_uint8 succ (j lsr 3) lor (1 lsl (j land 7))))
+      g.g_edges;
+    ix
+
+  (** Same answer as {!Apiflow.permits} on the indexed graph. *)
+  let permits (ix : t) ~pos k =
+    match Hashtbl.find_opt ix k with
+    | None -> false
+    | Some kp -> (
+        match pos with
+        | None -> kp.start
+        | Some p -> (
+            match Hashtbl.find_opt ix p with
+            | None -> false
+            | Some pp ->
+                Bytes.get_uint8 pp.succ (kp.id lsr 3) land (1 lsl (kp.id land 7)) <> 0))
+
+  (** Same answer as {!Apiflow.has_node} on the indexed graph. *)
+  let has_node (ix : t) k =
+    match Hashtbl.find_opt ix k with Some p -> p.node | None -> false
+end
 
 (** [extract env prog] — the flow graph of [prog], with kexports
     identified through [env].  Deterministic: pure set computations,

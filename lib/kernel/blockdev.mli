@@ -6,7 +6,12 @@
 val tt_struct : string
 val ti_struct : string
 val bio_struct : string
+val layouts : Ktypes.strct list
+(** This subsystem's struct layouts; every accessor takes its field
+    offsets from them. *)
+
 val define_layout : Ktypes.t -> unit
+(** Register {!layouts} in a system's struct registry. *)
 
 val dm_mapio_submitted : int64
 val dm_mapio_remapped : int64
@@ -29,7 +34,14 @@ val dm_create :
     address. *)
 
 val dm_destroy : t -> name:string -> unit
+val bio_size : int
+(** [sizeof(struct bio)] *)
+
 val alloc_bio : t -> sector:int -> size:int -> rw:int -> int
+val bio_data : t -> int -> int
+val bio_bytes : t -> int -> int
+(** A bio's payload buffer and its length. *)
+
 val free_bio : t -> int -> unit
 
 val submit_bio : t -> name:string -> int -> (int64, string) result

@@ -33,11 +33,16 @@ type t = {
   mutable fault_on_unmapped : bool;
       (** default [false]: reads of unmapped pages yield zeroes and
           writes map on demand *)
-  mutable last_idx : int;
-      (** single-entry page-lookup cache; [-1] when empty.  Pages are
-          never unmapped, so the cache never needs invalidation. *)
-  mutable last_page : Bytes.t;
+  tags : int array;
+      (** direct-mapped page-lookup cache: the page index each entry
+          holds, [-1] when empty.  Pages are never unmapped, so the
+          cache never needs invalidation. *)
+  cached : Bytes.t array;
 }
+
+val cache_entry : int -> int
+(** [cache_entry idx] — the one page-lookup cache entry a page with
+    index [idx] can occupy. *)
 
 val create : unit -> t
 

@@ -37,12 +37,13 @@ let create () = { structs = Hashtbl.create 64 }
 exception Unknown_struct of string
 exception Unknown_field of string * string
 
-(** [define t name fields] registers a struct whose fields are laid out in
-    declaration order with natural alignment for their size.  Returns the
-    completed layout.  Raises [Invalid_argument] on duplicate names. *)
-let define t name (specs : (string * int * field_kind) list) : strct =
-  if Hashtbl.mem t.structs name then
-    invalid_arg (Printf.sprintf "Ktypes.define: duplicate struct %s" name);
+(** [layout name fields] computes a struct's layout — fields in
+    declaration order with natural alignment for their size — without
+    registering it.  Pure: the same specs always give the same layout,
+    so a subsystem can declare its layout once as a module-level value
+    and take field offsets from it directly, while {!register} puts the
+    very same value in a system's registry. *)
+let layout name (specs : (string * int * field_kind) list) : strct =
   let align off sz =
     let a = if sz >= 8 then 8 else if sz >= 4 then 4 else if sz >= 2 then 2 else 1 in
     (off + a - 1) land lnot (a - 1)
@@ -56,9 +57,31 @@ let define t name (specs : (string * int * field_kind) list) : strct =
       ([], 0) specs
   in
   let size = align size 8 in
-  let s = { s_name = name; s_size = max size 8; s_fields = List.rev fields } in
-  Hashtbl.replace t.structs name s;
+  { s_name = name; s_size = max size 8; s_fields = List.rev fields }
+
+(** [register t s] adds a computed layout to the registry.  Raises
+    [Invalid_argument] on duplicate names. *)
+let register t s =
+  if Hashtbl.mem t.structs s.s_name then
+    invalid_arg (Printf.sprintf "Ktypes.define: duplicate struct %s" s.s_name);
+  Hashtbl.replace t.structs s.s_name s
+
+(** [define t name fields] is [register t (layout name fields)]; returns
+    the completed layout. *)
+let define t name specs : strct =
+  let s = layout name specs in
+  register t s;
   s
+
+(** [field_of s fname] — the field [fname] of layout [s]. *)
+let field_of s fname =
+  match List.find_opt (fun f -> f.f_name = fname) s.s_fields with
+  | Some f -> f
+  | None -> raise (Unknown_field (s.s_name, fname))
+
+(** Byte offset of [fname] within layout [s]; meant to be evaluated
+    once, where the layout is declared. *)
+let offset_of s fname = (field_of s fname).f_offset
 
 let find t name =
   match Hashtbl.find_opt t.structs name with
@@ -68,11 +91,7 @@ let find t name =
 let mem t name = Hashtbl.mem t.structs name
 let sizeof t name = (find t name).s_size
 
-let field t sname fname =
-  let s = find t sname in
-  match List.find_opt (fun f -> f.f_name = fname) s.s_fields with
-  | Some f -> f
-  | None -> raise (Unknown_field (sname, fname))
+let field t sname fname = field_of (find t sname) fname
 
 (** Byte offset of [fname] within [sname]. *)
 let offset t sname fname = (field t sname fname).f_offset

@@ -18,9 +18,21 @@ val create : unit -> t
 exception Unknown_struct of string
 exception Unknown_field of string * string
 
+val layout : string -> (string * int * field_kind) list -> strct
+(** Compute a struct layout without registering it: fields in order,
+    natural alignment, size rounded up to 8.  Pure, so a subsystem
+    declares its layout once as a module-level value and reads offsets
+    from it instead of looking them up by name on every access. *)
+
+val register : t -> strct -> unit
+(** Add a computed layout to the registry.  Raises [Invalid_argument]
+    on duplicates. *)
+
 val define : t -> string -> (string * int * field_kind) list -> strct
-(** Register a struct; fields are laid out in order with natural
-    alignment.  Raises [Invalid_argument] on duplicates. *)
+(** [register] of [layout]; returns the layout. *)
+
+val offset_of : strct -> string -> int
+(** Byte offset of a field in a layout value.  Raises {!Unknown_field}. *)
 
 val find : t -> string -> strct
 val mem : t -> string -> bool

@@ -11,7 +11,13 @@ val dev_struct : string
 val ops_struct : string
 val napi_struct : string
 val qdisc_struct : string
+
+val layouts : Ktypes.strct list
+(** The qdisc, ops, net_device and napi layouts; every accessor takes
+    its field offsets from them. *)
+
 val define_layout : Ktypes.t -> unit
+(** Register {!layouts} in a system's struct registry. *)
 
 val netdev_tx_ok : int64
 val netdev_tx_busy : int64

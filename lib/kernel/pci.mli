@@ -5,7 +5,12 @@
 
 val dev_struct : string
 val drv_struct : string
+val layouts : Ktypes.strct list
+(** This subsystem's struct layouts; every accessor takes its field
+    offsets from them. *)
+
 val define_layout : Ktypes.t -> unit
+(** Register {!layouts} in a system's struct registry. *)
 
 type t = {
   kst : Kstate.t;

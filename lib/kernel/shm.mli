@@ -4,7 +4,10 @@
     the module's overflowed buffer in the 16-byte class. *)
 
 val shm_struct : string
+val layout : Ktypes.strct
 val define_layout : Ktypes.t -> unit
+(** Register {!layout} in a system's struct registry. *)
+
 val magic : int64
 
 type t = {

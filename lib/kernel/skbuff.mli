@@ -4,9 +4,18 @@
     Figure 4). *)
 
 val struct_name : string
+
+val layout : Ktypes.strct
+(** The sk_buff layout; every accessor below takes its offsets from it. *)
+
 val define_layout : Ktypes.t -> unit
-val off : Kstate.t -> string -> int
-val sizeof : Kstate.t -> int
+(** Register {!layout} in a system's struct registry. *)
+
+val size : int
+
+val build : Kstate.t -> int -> int -> int
+(** [build kst buf len] — an sk_buff around an existing payload buffer
+    (head = data = [buf]); returns the struct address. *)
 
 val alloc : Kstate.t -> int -> int
 (** Allocate an sk_buff with a payload buffer of the given length;

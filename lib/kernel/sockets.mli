@@ -8,7 +8,12 @@
 val socket_struct : string
 val ops_struct : string
 val npf_struct : string
+val layouts : Ktypes.strct list
+(** The proto_ops, net_proto_family and socket layouts; every accessor
+    takes its field offsets from them. *)
+
 val define_layout : Ktypes.t -> unit
+(** Register {!layouts} in a system's struct registry. *)
 
 val af_rds : int
 val af_can : int

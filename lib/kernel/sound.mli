@@ -5,7 +5,12 @@
 
 val card_struct : string
 val ops_struct : string
+val layouts : Ktypes.strct list
+(** This subsystem's struct layouts; every accessor takes its field
+    offsets from them. *)
+
 val define_layout : Ktypes.t -> unit
+(** Register {!layouts} in a system's struct registry. *)
 
 val trigger_start : int64
 val trigger_stop : int64
@@ -18,6 +23,9 @@ val snd_card_create : t -> name:string -> dma_bytes:int -> int
 (** Allocate a card and its DMA buffer; the [snd_card_caps] iterator on
     the export grants the caller WRITE on both plus the registration
     REF. *)
+
+val card_size : int
+(** [sizeof(struct snd_card)] *)
 
 val snd_card_register : t -> int -> int64
 val dma_area : t -> int -> int

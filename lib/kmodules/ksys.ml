@@ -115,7 +115,7 @@ let register_iterators (t : t) =
           else begin
             let data = Skbuff.data t.kst skb in
             let len = Skbuff.len t.kst skb in
-            Lxfi.Capability.Cwrite { base = skb; size = sizeof t "sk_buff" }
+            Lxfi.Capability.Cwrite { base = skb; size = Skbuff.size }
             :: (if data <> 0 && len > 0 then
                   [ Lxfi.Capability.Cwrite { base = data; size = len } ]
                 else [])
@@ -158,9 +158,9 @@ let register_iterators (t : t) =
           let bio = Int64.to_int bio in
           if bio = 0 then []
           else begin
-            let data = Kmem.read_ptr (mem t) (bio + off t "bio" "data") in
-            let size = Kmem.read_u32 (mem t) (bio + off t "bio" "size") in
-            Lxfi.Capability.Cwrite { base = bio; size = sizeof t "bio" }
+            let data = Blockdev.bio_data t.blk bio in
+            let size = Blockdev.bio_bytes t.blk bio in
+            Lxfi.Capability.Cwrite { base = bio; size = Blockdev.bio_size }
             :: (if data <> 0 && size > 0 then
                   [ Lxfi.Capability.Cwrite { base = data; size } ]
                 else [])
@@ -177,7 +177,7 @@ let register_iterators (t : t) =
           if card = 0 then []
           else
             [
-              Lxfi.Capability.Cwrite { base = card; size = sizeof t "snd_card" };
+              Lxfi.Capability.Cwrite { base = card; size = Sound.card_size };
               Lxfi.Capability.Cwrite
                 {
                   base = Sound.dma_area t.snd card;
@@ -277,11 +277,7 @@ let register_kexports (t : t) =
   d "build_skb" [ "buf"; "len" ] "post(if (return != 0) copy(skb_caps(return)))"
     (fun args ->
       let buf = arg 0 args and len = arg 1 args in
-      let skb = Slab.kmalloc kst.Kstate.slab (sizeof t "sk_buff") in
-      Kmem.write_ptr kst.Kstate.mem (skb + off t "sk_buff" "head") buf;
-      Kmem.write_ptr kst.Kstate.mem (skb + off t "sk_buff" "data") buf;
-      Kmem.write_u32 kst.Kstate.mem (skb + off t "sk_buff" "len") len;
-      Int64.of_int skb);
+      Int64.of_int (Skbuff.build kst buf len));
   d "kfree_skb" [ "skb" ] "pre(transfer(skb_caps(skb)))" (fun args ->
       Skbuff.free kst (arg 0 args);
       0L);
@@ -305,11 +301,7 @@ let register_kexports (t : t) =
   d "build_skb_strict" [ "buf"; "len" ]
     "post(if (return != 0) copy(skb_strict_caps(return)))" (fun args ->
       let buf = arg 0 args and len = arg 1 args in
-      let skb = Slab.kmalloc kst.Kstate.slab (sizeof t "sk_buff") in
-      Kmem.write_ptr kst.Kstate.mem (skb + off t "sk_buff" "head") buf;
-      Kmem.write_ptr kst.Kstate.mem (skb + off t "sk_buff" "data") buf;
-      Kmem.write_u32 kst.Kstate.mem (skb + off t "sk_buff" "len") len;
-      Int64.of_int skb);
+      Int64.of_int (Skbuff.build kst buf len));
   d "netif_rx_strict" [ "skb" ] "pre(transfer(skb_strict_caps(skb)))" (fun args ->
       Netdev.netif_rx t.net (arg 0 args));
   (* --- net core --- *)
@@ -449,7 +441,7 @@ let as_user t ?(comm = "attacker") f =
   | v ->
       let escalated =
         Hashtbl.mem t.kst.Kstate.run_queue task.Task.pid
-        && Task.is_root t.kst.Kstate.mem t.kst.Kstate.types task
+        && Task.is_root t.kst.Kstate.mem task
       in
       restore ();
       (v, escalated)

@@ -115,9 +115,10 @@ let load (rt : Runtime.t) (prog : Mir.Ast.prog) : Runtime.module_info * Rewriter
       && rt.Runtime.config.Config.flow_integrity
     then
       Some
-        (match Hashtbl.find_opt rt.Runtime.flow_graphs prog.Mir.Ast.pname with
-        | Some g -> g
-        | None -> Check.Apiflow.extract (check_env rt) prog)
+        (Check.Apiflow.Index.make
+           (match Hashtbl.find_opt rt.Runtime.flow_graphs prog.Mir.Ast.pname with
+           | Some g -> g
+           | None -> Check.Apiflow.extract (check_env rt) prog))
     else None
   in
   let prog, report = Rewriter.instrument rt.Runtime.config prog in

@@ -63,10 +63,10 @@ type module_info = {
       (** innermost kernel→module entry (function, args) — recorded by
           the quarantine dispatcher so a faulting entry can be replayed
           against a repaired instance *)
-  mutable mi_flow : Check.Apiflow.graph option;
-      (** enforced kernel-API flow graph (set by the loader under
-          [flow_integrity]: a registered policy graph if one exists,
-          else self-extracted from the pristine MIR) *)
+  mutable mi_flow : Check.Apiflow.Index.t option;
+      (** enforced kernel-API flow graph, indexed (set by the loader
+          under [flow_integrity]: a registered policy graph if one
+          exists, else self-extracted from the pristine MIR) *)
 }
 
 (** The capability shapes an iterator can yield — static metadata used
@@ -81,6 +81,7 @@ type kexport = {
   ke_params : string list;
   ke_annot : Annot.Ast.t;
   ke_ahash : int64;
+  ke_code : Annot.Compiled.t;  (** [ke_annot] compiled against [ke_params] *)
   ke_impl : int64 list -> int64;
 }
 
@@ -278,7 +279,8 @@ let retire_module rt mi =
 
 (** {1 Kernel exports and capability iterators} *)
 
-let add_kexport rt ~name ~params ~annot ~ahash impl : (kexport, Annot.Registry.error) result =
+let add_kexport rt ~name ~params ~annot ~ahash ~code impl :
+    (kexport, Annot.Registry.error) result =
   match Annot.Ast.validate ~params annot with
   | Error msg -> Error (Annot.Registry.Invalid { name; msg })
   | Ok () ->
@@ -290,6 +292,7 @@ let add_kexport rt ~name ~params ~annot ~ahash impl : (kexport, Annot.Registry.e
           ke_params = params;
           ke_annot = annot;
           ke_ahash = ahash;
+          ke_code = code;
           ke_impl = impl;
         }
       in
@@ -308,15 +311,17 @@ let add_kexport rt ~name ~params ~annot ~ahash impl : (kexport, Annot.Registry.e
     [params] still runs, so a registered export is always internally
     consistent ([Error] is {!Annot.Registry.Invalid} otherwise). *)
 let register_kexport rt ~name ~params ~annot impl =
-  add_kexport rt ~name ~params ~annot ~ahash:(Annot.Hash.of_annot ~params annot) impl
+  add_kexport rt ~name ~params ~annot ~ahash:(Annot.Hash.of_annot ~params annot)
+    ~code:(Annot.Compiled.compile ~params annot) impl
 
-(** Thin convenience that parses and hashes the annotation source
-    first, through the per-process {!Annot.Registry.compile} memo. *)
+(** Thin convenience that parses, hashes and compiles the annotation
+    source first, through the per-process {!Annot.Registry.compile}
+    memo. *)
 let register_kexport_src rt ~name ~params ~annot_src impl :
     (kexport, Annot.Registry.error) result =
   match Annot.Registry.compile ~params annot_src with
   | Error err -> Error (Annot.Registry.Parse { name; src = annot_src; err })
-  | Ok (annot, ahash) -> add_kexport rt ~name ~params ~annot ~ahash impl
+  | Ok (annot, ahash, code) -> add_kexport rt ~name ~params ~annot ~ahash ~code impl
 
 let register_kexport_exn rt ~name ~params ~annot_src impl =
   Annot.Registry.ok_exn (register_kexport_src rt ~name ~params ~annot_src impl)
@@ -478,24 +483,30 @@ type direction =
   | M2K  (** module calling a kernel export *)
   | K2M  (** kernel invoking a module function *)
 
-type eval_env = { params : string list; args : int64 list; ret : int64 option }
+(* Argument [i] of a call ([k] counts down to it), or a kernel oops. *)
+let rec nth_arg args i k =
+  match args with
+  | [] -> raise (Kstate.Oops (Printf.sprintf "annotation: missing argument %d" i))
+  | v :: rest -> if k = 0 then v else nth_arg rest i (k - 1)
 
-let rec eval_cexpr rt env (e : Annot.Ast.cexpr) : int64 =
+(** Evaluate a compiled annotation expression against a call's
+    arguments and, in post clauses, its return value.  Arguments beyond
+    the annotated parameters are never read; a parameter whose argument
+    is missing is a kernel oops, as it is for the stock implementation. *)
+let rec eval rt ~args ~ret (e : Annot.Compiled.expr) : int64 =
   match e with
-  | Annot.Ast.Cint n -> n
-  | Annot.Ast.Cparam p -> (
-      match List.assoc_opt p (List.combine env.params env.args) with
-      | Some v -> v
-      | None ->
-          invalid_arg (Printf.sprintf "annotation references unknown parameter %s" p))
-  | Annot.Ast.Creturn -> (
-      match env.ret with
+  | Annot.Compiled.Int n -> n
+  | Annot.Compiled.Arg i -> nth_arg args i i
+  | Annot.Compiled.Unknown_param p ->
+      invalid_arg (Printf.sprintf "annotation references unknown parameter %s" p)
+  | Annot.Compiled.Return -> (
+      match ret with
       | Some v -> v
       | None -> invalid_arg "annotation references return value in pre context")
-  | Annot.Ast.Cneg e -> Int64.neg (eval_cexpr rt env e)
-  | Annot.Ast.Csizeof s -> Int64.of_int (Ktypes.sizeof rt.kst.Kstate.types s)
-  | Annot.Ast.Cbin (op, a, b) ->
-      let va = eval_cexpr rt env a and vb = eval_cexpr rt env b in
+  | Annot.Compiled.Neg e -> Int64.neg (eval rt ~args ~ret e)
+  | Annot.Compiled.Sizeof s -> Int64.of_int (Ktypes.sizeof rt.kst.Kstate.types s)
+  | Annot.Compiled.Bin (op, a, b) ->
+      let va = eval rt ~args ~ret a and vb = eval rt ~args ~ret b in
       let bool_ x = if x then 1L else 0L in
       (match op with
       | Annot.Ast.Oeq -> bool_ (Int64.equal va vb)
@@ -511,24 +522,24 @@ let rec eval_cexpr rt env (e : Annot.Ast.cexpr) : int64 =
       | Annot.Ast.Oor -> bool_ (va <> 0L || vb <> 0L))
 
 (** Resolve a caplist to concrete capabilities. *)
-let caps_of_caplist rt env (cl : Annot.Ast.caplist) : Capability.t list =
+let caps_of_caplist rt ~args ~ret (cl : Annot.Compiled.caplist) : Capability.t list =
   match cl with
-  | Annot.Ast.Inline (ct, pe, se) -> (
-      let ptr = Int64.to_int (eval_cexpr rt env pe) in
+  | Annot.Compiled.Inline (ct, pe, se) -> (
+      let ptr = Int64.to_int (eval rt ~args ~ret pe) in
       match ct with
       | Annot.Ast.Write ->
           let size =
             match se with
-            | Some e -> Int64.to_int (eval_cexpr rt env e)
+            | Some e -> Int64.to_int (eval rt ~args ~ret e)
             | None -> 8 (* documented default when no referent type is known *)
           in
           if size <= 0 then [] else [ Capability.Cwrite { base = ptr; size } ]
       | Annot.Ast.Call -> [ Capability.Ccall { target = ptr } ]
       | Annot.Ast.Ref rtype -> [ Capability.Cref { rtype; addr = ptr } ])
-  | Annot.Ast.Iter (fname, argexprs) -> (
+  | Annot.Compiled.Iter (fname, argexprs) -> (
       match Hashtbl.find_opt rt.iterators fname with
       | None -> invalid_arg (Printf.sprintf "unknown capability iterator %s" fname)
-      | Some fn -> fn rt (List.map (eval_cexpr rt env) argexprs))
+      | Some fn -> fn rt (List.map (eval rt ~args ~ret) argexprs))
 
 let violation_kind_of_cap = function
   | Capability.Cwrite _ -> Violation.Write_denied
@@ -544,7 +555,8 @@ let check_owned rt mi (p : Principal.t) (c : Capability.t) ~ctx =
 (** Execute one annotation action.  [mp] is the module-side principal
     of the call (caller for M2K, callee for K2M); the kernel side is
     implicitly trusted and owns everything. *)
-let rec run_action rt mi (mp : Principal.t) ~dir ~phase env (a : Annot.Ast.action) =
+let rec run_action rt mi (mp : Principal.t) ~dir ~phase ~args ~ret
+    (a : Annot.Compiled.action) =
   (* Cost accounting is per capability processed, not per syntactic
      action: an skb_caps transfer does twice the table work of a plain
      lock check, and the netperf CPU inflation (§8.4) is dominated by
@@ -555,19 +567,20 @@ let rec run_action rt mi (mp : Principal.t) ~dir ~phase env (a : Annot.Ast.actio
     charge rt (n * Cost.annotation_action);
     caps
   in
-  let caps_of_caplist rt env cl = account (caps_of_caplist rt env cl) in
+  let caps_of_caplist cl = account (caps_of_caplist rt ~args ~ret cl) in
   let xfi = rt.config.Config.mode = Config.Xfi in
   match a with
-  | Annot.Ast.Cif (c, a') -> if eval_cexpr rt env c <> 0L then run_action rt mi mp ~dir ~phase env a'
-  | Annot.Ast.Check cl ->
+  | Annot.Compiled.If (c, a') ->
+      if eval rt ~args ~ret c <> 0L then run_action rt mi mp ~dir ~phase ~args ~ret a'
+  | Annot.Compiled.Check cl ->
       if not xfi then
         List.iter
           (fun cap ->
             match (dir, phase) with
             | M2K, _ -> check_owned rt mi mp cap ~ctx:"check"
             | K2M, _ -> () (* caller is the kernel; trivially owned *))
-          (caps_of_caplist rt env cl)
-  | Annot.Ast.Copy cl ->
+          (caps_of_caplist cl)
+  | Annot.Compiled.Copy cl ->
       List.iter
         (fun cap ->
           match (dir, phase) with
@@ -580,8 +593,8 @@ let rec run_action rt mi (mp : Principal.t) ~dir ~phase env (a : Annot.Ast.actio
           | K2M, `Post ->
               (* callee (module) must own it; kernel side is implicit *)
               if not xfi then check_owned rt mi mp cap ~ctx:"copy(post)")
-        (caps_of_caplist rt env cl)
-  | Annot.Ast.Transfer cl ->
+        (caps_of_caplist cl)
+  | Annot.Compiled.Transfer cl ->
       List.iter
         (fun cap ->
           match (dir, phase) with
@@ -597,10 +610,10 @@ let rec run_action rt mi (mp : Principal.t) ~dir ~phase env (a : Annot.Ast.actio
           | K2M, `Post ->
               if not xfi then check_owned rt mi mp cap ~ctx:"transfer(post)";
               revoke_from_all ~ctx:"transfer(post)" rt cap)
-        (caps_of_caplist rt env cl)
+        (caps_of_caplist cl)
 
-let run_actions rt mi mp ~dir ~phase env actions =
-  List.iter (run_action rt mi mp ~dir ~phase env) actions
+let run_actions rt mi mp ~dir ~phase ~args ~ret actions =
+  List.iter (run_action rt mi mp ~dir ~phase ~args ~ret) actions
 
 (** {1 Wrappers} *)
 
@@ -646,9 +659,9 @@ let call_kexport rt (ke : kexport) args =
            then
              match mi.mi_flow with
              | None -> ()
-             | Some g ->
+             | Some ix ->
                  let pos = mp.Principal.flow_pos in
-                 if Check.Apiflow.permits g ~pos ke.ke_name then
+                 if Check.Apiflow.Index.permits ix ~pos ke.ke_name then
                    mp.Principal.flow_pos <- Some ke.ke_name
                  else begin
                    rt.stats.Stats.flow_violations <-
@@ -665,15 +678,11 @@ let call_kexport rt (ke : kexport) args =
             Shadow_stack.push rt.sstack ~wrapper:ke.ke_name ~saved_principal:caller
           in
           let run () =
-            let env = { params = ke.ke_params; args; ret = None } in
-            run_actions rt mi mp ~dir:M2K ~phase:`Pre env
-              (Annot.Ast.pre_actions ke.ke_annot);
+            run_actions rt mi mp ~dir:M2K ~phase:`Pre ~args ~ret:None ke.ke_code.pre;
             rt.current <- None;
             let ret = ke.ke_impl args in
             rt.current <- Some mp;
-            let env = { env with ret = Some ret } in
-            run_actions rt mi mp ~dir:M2K ~phase:`Post env
-              (Annot.Ast.post_actions ke.ke_annot);
+            run_actions rt mi mp ~dir:M2K ~phase:`Post ~args ~ret:(Some ret) ke.ke_code.post;
             ret
           in
           (match run () with
@@ -689,13 +698,13 @@ let call_kexport rt (ke : kexport) args =
 
 (** Select the callee principal for a kernel→module call according to
     the slot type's [principal] clause. *)
-let select_principal rt mi (slot : Annot.Registry.slot) env =
-  match Annot.Ast.principal_of slot.Annot.Registry.sl_annot with
-  | None | Some Annot.Ast.Pshared -> mi.mi_shared
-  | Some Annot.Ast.Pglobal -> mi.mi_global
-  | Some (Annot.Ast.Pexpr e) ->
+let select_principal rt mi (slot : Annot.Registry.slot) ~args =
+  match slot.Annot.Registry.sl_code.principal with
+  | None | Some Annot.Compiled.Pshared -> mi.mi_shared
+  | Some Annot.Compiled.Pglobal -> mi.mi_global
+  | Some (Annot.Compiled.Pexpr e) ->
       if rt.config.Config.mode = Config.Lxfi then
-        let name_ptr = Int64.to_int (eval_cexpr rt env e) in
+        let name_ptr = Int64.to_int (eval rt ~args ~ret:None e) in
         find_or_create_instance rt mi ~name_ptr
       else mi.mi_shared
 
@@ -757,8 +766,8 @@ let invoke_module_function rt mi fname args =
                 else if depth > 0 then callee.Principal.flow_pos <- pos
           in
           let run () =
-            let env = { params = slot.Annot.Registry.sl_params; args; ret = None } in
-            let callee = select_principal rt mi slot env in
+            let code = slot.Annot.Registry.sl_code in
+            let callee = select_principal rt mi slot ~args in
             (match callee.Principal.quarantined with
             | Some reason ->
                 Violation.raise_ ~principal:callee ~kind:Violation.Principal_denied
@@ -782,8 +791,7 @@ let invoke_module_function rt mi fname args =
                 ctx.Mir.Interp.watchdog <- true;
                 Mir.Interp.refuel ~fuel:budget ctx
             | _ -> ());
-            run_actions rt mi callee ~dir:K2M ~phase:`Pre env
-              (Annot.Ast.pre_actions slot.Annot.Registry.sl_annot);
+            run_actions rt mi callee ~dir:K2M ~phase:`Pre ~args ~ret:None code.pre;
             rt.stats.Stats.principal_switches <- rt.stats.Stats.principal_switches + 1;
             charge rt Cost.principal_switch;
             if !Trace.on then Trace.emit (Trace.Switch (Principal.describe callee));
@@ -791,9 +799,7 @@ let invoke_module_function rt mi fname args =
             let ret = run_mir rt mi fname args in
             (* Post actions run against the callee principal even if the
                module switched principals internally (switch_global). *)
-            let env = { env with ret = Some ret } in
-            run_actions rt mi callee ~dir:K2M ~phase:`Post env
-              (Annot.Ast.post_actions slot.Annot.Registry.sl_annot);
+            run_actions rt mi callee ~dir:K2M ~phase:`Post ~args ~ret:(Some ret) code.post;
             ret
           in
           (match run () with

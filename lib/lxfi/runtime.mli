@@ -52,10 +52,10 @@ type module_info = {
   mutable mi_last_entry : (string * int64 list) option;
       (** innermost kernel→module entry (function, args), recorded by
           the quarantine dispatcher for replay after repair *)
-  mutable mi_flow : Check.Apiflow.graph option;
-      (** enforced kernel-API flow graph (set by the loader under
-          [flow_integrity]: a registered policy graph if one exists,
-          else self-extracted from the pristine MIR) *)
+  mutable mi_flow : Check.Apiflow.Index.t option;
+      (** enforced kernel-API flow graph, indexed (set by the loader
+          under [flow_integrity]: a registered policy graph if one
+          exists, else self-extracted from the pristine MIR) *)
 }
 (** Everything the runtime knows about one loaded module. *)
 
@@ -69,6 +69,7 @@ type kexport = {
   ke_params : string list;
   ke_annot : Annot.Ast.t;
   ke_ahash : int64;
+  ke_code : Annot.Compiled.t;  (** [ke_annot] compiled against [ke_params] *)
   ke_impl : int64 list -> int64;
 }
 (** An annotated kernel export. *)

@@ -16,6 +16,7 @@ type frame = {
 
 type t = {
   mutable frames : frame list;
+  mutable depth : int;  (** [List.length frames], kept by every update *)
   mem_base : int;  (** reserved adjacent region (never granted to modules) *)
   mem_len : int;
   mutable max_depth : int;
@@ -23,9 +24,9 @@ type t = {
 }
 
 let create ~mem_base ~mem_len =
-  { frames = []; mem_base; mem_len; max_depth = 0; token_counter = 0 }
+  { frames = []; depth = 0; mem_base; mem_len; max_depth = 0; token_counter = 0 }
 
-let depth t = List.length t.frames
+let depth t = t.depth
 
 (** [push t ~wrapper ~saved_principal] returns the token the matching
     [pop] must present. *)
@@ -33,7 +34,8 @@ let push t ~wrapper ~saved_principal =
   t.token_counter <- t.token_counter + 1;
   let token = t.token_counter in
   t.frames <- { token; saved_principal; wrapper } :: t.frames;
-  let d = depth t in
+  t.depth <- t.depth + 1;
+  let d = t.depth in
   if d > t.max_depth then t.max_depth <- d;
   if d * 16 > t.mem_len then
     Violation.raise_ ~kind:Violation.Shadow_stack ~module_:wrapper
@@ -52,6 +54,7 @@ let pop t ~wrapper ~token =
         Violation.raise_ ~kind:Violation.Shadow_stack ~module_:wrapper
           "return token mismatch (wrapper %s, expected frame %s)" wrapper f.wrapper;
       t.frames <- rest;
+      t.depth <- t.depth - 1;
       f.saved_principal
 
 let top_wrapper t = match t.frames with [] -> None | f :: _ -> Some f.wrapper
@@ -64,12 +67,13 @@ let top_wrapper t = match t.frames with [] -> None | f :: _ -> Some f.wrapper
     nothing is discarded. *)
 let unwind_to t ~depth =
   if depth < 0 then invalid_arg "Shadow_stack.unwind_to: depth < 0";
-  let rec go acc frames =
-    if List.length frames <= depth then (acc, frames)
+  let rec go acc n frames =
+    if n <= depth then (acc, n, frames)
     else match frames with
-      | [] -> (acc, [])
-      | f :: rest -> go (Some f) rest
+      | [] -> (acc, 0, [])
+      | f :: rest -> go (Some f) (n - 1) rest
   in
-  let last_discarded, kept = go None t.frames in
+  let last_discarded, n, kept = go None t.depth t.frames in
   t.frames <- kept;
+  t.depth <- n;
   match last_discarded with None -> None | Some f -> f.saved_principal

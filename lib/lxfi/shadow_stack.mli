@@ -9,8 +9,9 @@ type frame = {
   wrapper : string;  (** for diagnostics *)
 }
 
-type t = {
+type t = private {
   mutable frames : frame list;
+  mutable depth : int;  (** number of frames, kept by push/pop/unwind *)
   mem_base : int;  (** reserved region adjacent to the kernel stack;
                        never covered by any WRITE capability *)
   mem_len : int;

@@ -195,7 +195,7 @@ let flow_of_pstate (mi : Runtime.module_info) (ps : pstate) : string option =
   match (ps.ps_flow, mi.Runtime.mi_flow) with
   | None, _ -> None
   | Some k, None -> Some k
-  | Some k, Some g -> if Check.Apiflow.has_node g k then Some k else None
+  | Some k, Some ix -> if Check.Apiflow.Index.has_node ix k then Some k else None
 
 let restore_global rt (mi : Runtime.module_info) (gs : gstate) =
   if not gs.gs_funcptr then

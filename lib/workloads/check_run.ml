@@ -75,6 +75,7 @@ let broken_demo () : report =
         sl_params = params;
         sl_annot = annot;
         sl_ahash = Annot.Hash.of_annot ~params annot;
+        sl_code = Annot.Compiled.compile ~params annot;
       }
   in
   forge "bad.entry" [ "buf"; "n" ] "pre(check(write, bogus, 8))";

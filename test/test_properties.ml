@@ -338,6 +338,193 @@ let prop_kmem_matches_bytes =
       !ok)
 
 (* ------------------------------------------------------------------ *)
+(* Kmem's page cache is invisible: a byte model over colliding pages.   *)
+(* ------------------------------------------------------------------ *)
+
+(* Page indices chosen so that many share one cache entry: pages of
+   the heap, stack and module regions that hash to the entry of the
+   heap's first page, a second group sharing the entry of its second
+   page, and the NULL page with its neighbour. *)
+let kmem_pages =
+  let module K = Kernel_sim.Kmem in
+  let page a = a lsr K.page_shift in
+  let heap = page K.Layout.kernel_heap_base in
+  let colliding ~with_ from n =
+    let rec go p k acc =
+      if k = 0 then acc
+      else if K.cache_entry p = K.cache_entry with_ then go (p + 1) (k - 1) (p :: acc)
+      else go (p + 1) k acc
+    in
+    go from n []
+  in
+  (0 :: 1 :: colliding ~with_:heap heap 4)
+  @ colliding ~with_:heap (page K.Layout.kernel_stack_base) 3
+  @ colliding ~with_:heap (page K.Layout.module_base) 3
+  @ colliding ~with_:(heap + 1) (heap + 1) 3
+
+type kop =
+  | Kwrite of int * int * int64
+  | Kread of int * int
+  | Kwrite_int of int * int * int  (** [write_u32] / [write_ptr] *)
+  | Kread_int of int * int  (** [read_u32] / [read_ptr] *)
+  | Kwrite_bytes of int * string
+  | Kread_bytes of int * int
+  | Kzero of int * int
+  | Kmap of int * int
+  | Ktoggle
+
+let show_kop = function
+  | Kwrite (a, n, v) -> Printf.sprintf "write(0x%x,%d,%Ld)" a n v
+  | Kread (a, n) -> Printf.sprintf "read(0x%x,%d)" a n
+  | Kwrite_int (a, n, v) -> Printf.sprintf "write_int(0x%x,%d,%d)" a n v
+  | Kread_int (a, n) -> Printf.sprintf "read_int(0x%x,%d)" a n
+  | Kwrite_bytes (a, s) -> Printf.sprintf "write_bytes(0x%x,%d)" a (String.length s)
+  | Kread_bytes (a, n) -> Printf.sprintf "read_bytes(0x%x,%d)" a n
+  | Kzero (a, n) -> Printf.sprintf "zero(0x%x,%d)" a n
+  | Kmap (a, n) -> Printf.sprintf "map(0x%x,%d)" a n
+  | Ktoggle -> "toggle"
+
+let gen_kop =
+  QCheck.Gen.(
+    let page = oneofl kmem_pages in
+    (* offsets biased to page ends, so accesses straddle pages *)
+    let off = oneof [ int_bound 4095; map (fun d -> 4095 - d) (int_bound 9) ] in
+    let addr =
+      frequency
+        [ (12, map2 (fun p o -> (p lsl Kernel_sim.Kmem.page_shift) + o) page off);
+          (1, map (fun d -> -1 - d) (int_bound 16)) ]
+    in
+    let size = int_range 1 8 in
+    let len = frequency [ (3, int_range 0 24); (1, int_range 4000 9000) ] in
+    frequency
+      [
+        (6, map3 (fun a n v -> Kwrite (a, n, v)) addr size (map Int64.of_int int));
+        (6, map2 (fun a n -> Kread (a, n)) addr size);
+        (4, map3 (fun a n v -> Kwrite_int (a, n, v)) addr (oneofl [ 4; 8 ]) int);
+        (4, map2 (fun a n -> Kread_int (a, n)) addr (oneofl [ 4; 8 ]));
+        (2, map2 (fun a n -> Kwrite_bytes (a, String.init n (fun i -> Char.chr ((i * 7) land 0xff)))) addr len);
+        (2, map2 (fun a n -> Kread_bytes (a, n)) addr len);
+        (1, map2 (fun a n -> Kzero (a, n)) addr len);
+        (1, map2 (fun p n -> Kmap (p lsl Kernel_sim.Kmem.page_shift, n)) page (int_range 1 9000));
+        (1, return Ktoggle);
+      ])
+
+let prop_kmem_cache_matches_model =
+  QCheck.Test.make ~count:300 ~name:"kmem over colliding pages = byte model"
+    (QCheck.make ~print:(fun l -> String.concat "; " (List.map show_kop l))
+       QCheck.Gen.(list_size (int_bound 60) gen_kop))
+    (fun ops ->
+      let module K = Kernel_sim.Kmem in
+      let m = K.create () in
+      (* the model: mapped pages, and the strict flag *)
+      let pages : (int, Bytes.t) Hashtbl.t = Hashtbl.create 16 in
+      let strict = ref false in
+      let fault addr write = raise (K.Fault { addr; write }) in
+      (* one byte access, in the order the implementation visits them *)
+      let page ~write a =
+        if a < K.Layout.null_guard_top then fault a write;
+        let idx = a lsr K.page_shift in
+        match Hashtbl.find_opt pages idx with
+        | Some b -> b
+        | None ->
+            if !strict then fault a write;
+            let b = Bytes.make K.page_size '\000' in
+            Hashtbl.replace pages idx b;
+            b
+      in
+      let get a = Char.code (Bytes.get (page ~write:false a) (a land K.page_mask)) in
+      let set a v = Bytes.set (page ~write:true a) (a land K.page_mask) (Char.chr (v land 0xff)) in
+      (* a word access inside one page looks its page up once, at its
+         first byte; a straddling one goes byte by byte *)
+      let word_page ~write a n =
+        if (a land K.page_mask) + n <= K.page_size then ignore (page ~write a)
+      in
+      let rec model = function
+        | Kwrite_int (a, n, v) -> model (Kwrite (a, n, Int64.of_int v))
+        | Kread_int (a, n) ->
+            (* the int accessors drop bit 63 of an 8-byte value *)
+            let v = Int64.of_string (model (Kread (a, n))) in
+            Int64.to_string (Int64.of_int (Int64.to_int v))
+        | Kwrite (a, n, v) ->
+            word_page ~write:true a n;
+            for i = 0 to n - 1 do
+              set (a + i) (Int64.to_int (Int64.shift_right_logical v (8 * i)))
+            done;
+            ""
+        | Kread (a, n) ->
+            word_page ~write:false a n;
+            let v = ref 0L in
+            for i = n - 1 downto 0 do
+              v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (get (a + i)))
+            done;
+            Int64.to_string !v
+        | Kwrite_bytes (a, s) ->
+            String.iteri (fun i c -> set (a + i) (Char.code c)) s;
+            ""
+        | Kread_bytes (a, n) -> String.init n (fun i -> Char.chr (get (a + i)))
+        | Kzero (a, n) ->
+            for i = 0 to n - 1 do
+              set (a + i) 0
+            done;
+            ""
+        | Kmap (a, n) ->
+            for idx = a lsr K.page_shift to (a + n - 1) lsr K.page_shift do
+              if not (Hashtbl.mem pages idx) then
+                Hashtbl.replace pages idx (Bytes.make K.page_size '\000')
+            done;
+            ""
+        | Ktoggle ->
+            strict := not !strict;
+            ""
+      in
+      let real = function
+        | Kwrite (a, n, v) ->
+            K.write m ~addr:a ~size:n v;
+            ""
+        | Kwrite_int (a, 4, v) ->
+            K.write_u32 m a v;
+            ""
+        | Kwrite_int (a, _, v) ->
+            K.write_ptr m a v;
+            ""
+        | Kread_int (a, 4) -> Int64.to_string (Int64.of_int (K.read_u32 m a))
+        | Kread_int (a, _) -> Int64.to_string (Int64.of_int (K.read_ptr m a))
+        | Kread (a, n) ->
+            let v = K.read m ~addr:a ~size:n in
+            (* [read] zero-extends; the model assembles the same bytes *)
+            Int64.to_string v
+        | Kwrite_bytes (a, s) ->
+            K.write_bytes m ~addr:a s;
+            ""
+        | Kread_bytes (a, n) -> Bytes.to_string (K.read_bytes m ~addr:a ~len:n)
+        | Kzero (a, n) ->
+            K.zero m ~addr:a ~len:n;
+            ""
+        | Kmap (a, n) ->
+            K.map m ~addr:a ~len:n;
+            ""
+        | Ktoggle ->
+            m.K.fault_on_unmapped <- not m.K.fault_on_unmapped;
+            ""
+      in
+      let outcome f op =
+        match f op with r -> Ok r | exception K.Fault { addr; write } -> Error (addr, write)
+      in
+      List.for_all (fun op -> outcome model op = outcome real op) ops
+      && K.mapped_pages m = Hashtbl.length pages
+      &&
+      (* every mapped page, read back through the cache, strictly (the
+         NULL page can be mapped but never read) *)
+      (m.K.fault_on_unmapped <- true;
+       Hashtbl.fold
+         (fun idx b ok ->
+           ok
+           && (idx = 0
+              || Bytes.equal b (K.read_bytes m ~addr:(idx lsl K.page_shift) ~len:K.page_size)))
+         pages true))
+
+(* ------------------------------------------------------------------ *)
+(* Slab: live objects never overlap; freed slots are reused.            *)(* ------------------------------------------------------------------ *)
 (* Slab: live objects never overlap; freed slots are reused.            *)
 (* ------------------------------------------------------------------ *)
 
@@ -782,6 +969,149 @@ let prop_faultsim_deterministic =
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1000))
     (fun seed -> Workloads.Faultsim.run ~seed () = Workloads.Faultsim.run ~seed ())
 
+(* ------------------------------------------------------------------ *)
+(* The flow index answers exactly as the list scan it replaces.         *)
+(* ------------------------------------------------------------------ *)
+
+let flow_names = [ "kmalloc"; "kfree"; "spin_lock"; "spin_unlock"; "netif_rx"; "printk" ]
+
+let arb_flow_graph =
+  let name = QCheck.Gen.oneofl flow_names in
+  QCheck.make
+    ~print:(fun g -> Check.Apiflow.render g)
+    QCheck.Gen.(
+      map3
+        (fun nodes start edges ->
+          { Check.Apiflow.g_module = "m"; g_nodes = nodes; g_start = start; g_edges = edges })
+        (list_size (int_bound 6) name)
+        (list_size (int_bound 6) name)
+        (list_size (int_bound 30) (pair name name)))
+
+let prop_flow_index_matches_scan =
+  QCheck.Test.make ~count:500 ~name:"flow index = list scan (permits, has_node)" arb_flow_graph
+    (fun g ->
+      let ix = Check.Apiflow.Index.make g in
+      let names = "vmalloc" :: flow_names (* one name no graph mentions *) in
+      List.for_all
+        (fun k ->
+          Check.Apiflow.Index.has_node ix k = Check.Apiflow.has_node g k
+          && List.for_all
+               (fun pos ->
+                 Check.Apiflow.Index.permits ix ~pos k = Check.Apiflow.permits g ~pos k)
+               (None :: List.map Option.some names))
+        names)
+
+(* ------------------------------------------------------------------ *)
+(* Layout constants equal the registry of a booted system.              *)
+(* ------------------------------------------------------------------ *)
+
+(* The subsystems take field offsets from module-level layout values
+   instead of asking the registry.  Both halves are checked: the
+   layouts are what a booted system registers, and each accessor reads
+   and writes exactly the bytes the registry names for its field. *)
+let prop_layout_constants_match_registry =
+  let open Kernel_sim in
+  let layouts =
+    (Skbuff.layout :: Task.layout :: Shm.layout :: Netdev.layouts)
+    @ Sockets.layouts @ Blockdev.layouts @ Sound.layouts @ Pci.layouts
+  in
+  QCheck.Test.make ~count:30 ~name:"layout constants = Ktypes registry of a booted system"
+    (QCheck.make
+       QCheck.Gen.(
+         quad
+           (oneofl [ Lxfi.Config.stock; Lxfi.Config.lxfi; Lxfi.Config.lxfi_quarantine ])
+           (int_range 1 2000) (int_range 1 0xffff) (int_range 1 0xffff)))
+    (fun (config, len, a, b) ->
+      let sys = Kmodules.Ksys.boot config in
+      let kst = sys.Kmodules.Ksys.kst in
+      let types = kst.Kstate.types and mem = kst.Kstate.mem in
+      let off s f = Ktypes.offset types s f in
+      let u32 addr s f = Kmem.read_u32 mem (addr + off s f) in
+      let ptr addr s f = Kmem.read_ptr mem (addr + off s f) in
+      let registered =
+        List.for_all
+          (fun (l : Ktypes.strct) ->
+            Ktypes.sizeof types l.Ktypes.s_name = l.Ktypes.s_size
+            && List.for_all
+                 (fun (f : Ktypes.field) -> Ktypes.field types l.Ktypes.s_name f.Ktypes.f_name = f)
+                 l.Ktypes.s_fields)
+          layouts
+        (* and the registry holds nothing the subsystems did not declare *)
+        && List.for_all (fun s -> List.mem s layouts) (Ktypes.all types)
+        && Skbuff.size = Ktypes.sizeof types "sk_buff"
+        && Blockdev.bio_size = Ktypes.sizeof types "bio"
+        && Sound.card_size = Ktypes.sizeof types "snd_card"
+      in
+      let skb = Skbuff.alloc kst len in
+      Skbuff.set_dev kst skb a;
+      let built = Skbuff.build kst skb b in
+      let skbuff_ok =
+        u32 skb "sk_buff" "len" = len
+        && Skbuff.len kst skb = len
+        && ptr skb "sk_buff" "data" = Skbuff.data kst skb
+        && ptr skb "sk_buff" "head" = Skbuff.data kst skb
+        && u32 skb "sk_buff" "truesize" = Slab.usable_size kst.Kstate.slab (Skbuff.data kst skb)
+        && ptr skb "sk_buff" "dev" = a
+        && Skbuff.dev kst skb = a
+        && ptr built "sk_buff" "head" = skb
+        && Skbuff.data kst built = skb
+        && u32 built "sk_buff" "len" = b
+      in
+      let net = sys.Kmodules.Ksys.net in
+      let dev = Netdev.alloc_netdev net ~name:"eth0" in
+      let q = ptr dev "net_device" "qdisc" in
+      Kmem.write_u64 mem (dev + off "net_device" "rx_bytes") (Int64.of_int b);
+      let netdev_ok =
+        u32 dev "net_device" "mtu" = 1500
+        && Netdev.dev_name net dev = "eth0"
+        && ptr q "qdisc" "enqueue" = net.Netdev.pfifo_enqueue_addr
+        && ptr q "qdisc" "dequeue" = net.Netdev.pfifo_dequeue_addr
+        && Netdev.stats net dev = (0, 0, 0, b)
+      in
+      let task = Kstate.spawn_task kst ~uid:a ~comm:"prop" in
+      Task.set_addr_limit mem task Task.kernel_ds;
+      let task_ok =
+        u32 task.Task.addr "task_struct" "uid" = a
+        && u32 task.Task.addr "task_struct" "euid" = a
+        && u32 task.Task.addr "task_struct" "pid" = task.Task.pid
+        && Kmem.read_u64 mem (task.Task.addr + off "task_struct" "addr_limit")
+           = Int64.of_int Task.kernel_ds
+        && Task.field_addr task "comm" = task.Task.addr + off "task_struct" "comm"
+        && Task.comm mem task = "prop"
+      in
+      let pci = sys.Kmodules.Ksys.pci in
+      let pdev = Pci.add_device pci ~vendor:a ~device:b ~bar_len:len in
+      let pci_ok =
+        u32 pdev "pci_dev" "vendor" = a
+        && u32 pdev "pci_dev" "device" = b
+        && u32 pdev "pci_dev" "bar0_len" = len
+        && Pci.bar0 pci pdev = ptr pdev "pci_dev" "bar0"
+        && Pci.ioport pci pdev = u32 pdev "pci_dev" "ioport"
+      in
+      let blk = sys.Kmodules.Ksys.blk in
+      let bio = Blockdev.alloc_bio blk ~sector:a ~size:len ~rw:1 in
+      let blk_ok =
+        Kmem.read_u64 mem (bio + off "bio" "sector") = Int64.of_int a
+        && u32 bio "bio" "size" = len
+        && Blockdev.bio_bytes blk bio = len
+        && u32 bio "bio" "rw" = 1
+        && Blockdev.bio_data blk bio = ptr bio "bio" "data"
+      in
+      let snd = sys.Kmodules.Ksys.snd in
+      let card = Sound.snd_card_create snd ~name:"card" ~dma_bytes:len in
+      let snd_ok =
+        Sound.dma_bytes snd card = u32 card "snd_card" "dma_bytes"
+        && u32 card "snd_card" "dma_bytes" = len
+        && Sound.dma_area snd card = ptr card "snd_card" "dma_area"
+      in
+      let sock = sys.Kmodules.Ksys.sock in
+      let npf = Slab.kmalloc kst.Kstate.slab (Ktypes.sizeof types "net_proto_family") in
+      Kmem.write_u32 mem (npf + off "net_proto_family" "family") 77;
+      let sock_ok =
+        Sockets.sock_register sock npf = 0L && Sockets.sock_register sock npf = -17L
+      in
+      registered && skbuff_ok && netdev_ok && task_ok && pci_ok && blk_ok && snd_ok && sock_ok)
+
 let () =
   Kernel_sim.Klog.quiet ();
   Alcotest.run "properties"
@@ -796,6 +1126,7 @@ let () =
             prop_annot_hash_stable;
             prop_registry_define_consistent;
             prop_kmem_matches_bytes;
+            prop_kmem_cache_matches_model;
             prop_slab_no_overlap;
             prop_revoke_leaves_no_copies;
             prop_holder_index_matches_walk;
@@ -803,5 +1134,7 @@ let () =
             prop_truncation;
             prop_faultsim_invariants;
             prop_faultsim_deterministic;
+            prop_flow_index_matches_scan;
+            prop_layout_constants_match_registry;
           ] );
     ]

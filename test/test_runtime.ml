@@ -356,6 +356,60 @@ let test_stats_move () =
   Alcotest.(check bool) "entry counted" true (d.Stats.s_fn_entry >= 1);
   Alcotest.(check bool) "annotation counted" true (d.Stats.s_annotation_actions >= 1)
 
+(* Kernel-export arity.  Annotations are compiled to argument indices
+   at registration: an extra argument is ignored, as the stock kernel
+   ignores it, and a missing one is an oops — which quarantine contains
+   like any other. *)
+let arity_prog call =
+  Mir.Parser.parse
+    (Printf.sprintf
+       {|module arity
+imports: spin_lock_init, spin_lock, spin_unlock
+global lock[8] in .bss
+func module_init() {
+  ext:spin_lock_init(&lock);
+  return 0;
+}
+func cb0(n) exports fuzz.cb {
+  %s;
+  ext:spin_unlock(&lock);
+  return 7;
+}
+|}
+       call)
+
+let run_arity config call =
+  let sys = Kmodules.Ksys.boot config in
+  let rt = sys.Kmodules.Ksys.rt in
+  ignore
+    (Annot.Registry.define_exn rt.Runtime.registry ~name:"fuzz.cb" ~params:[ "n" ]
+       ~annot_src:"");
+  let mi, _ = Kmodules.Ksys.load sys (arity_prog call) in
+  ignore (Loader.init_call rt mi "module_init" []);
+  let r = Quarantine.dispatch rt mi "cb0" [ 5L ] in
+  Alcotest.(check int) "shadow stack back to the kernel frame" 0
+    (Shadow_stack.depth rt.Runtime.sstack);
+  r
+
+let test_kexport_extra_argument () =
+  List.iter
+    (fun config ->
+      Alcotest.(check int64)
+        (Config.mode_name config.Config.mode ^ (if config.Config.quarantine then "+q" else ""))
+        7L
+        (run_arity config "ext:spin_lock(&lock, n)"))
+    [ Config.stock; Config.lxfi; Config.lxfi_quarantine ]
+
+let test_kexport_missing_argument () =
+  Alcotest.(check int64) "contained as -EFAULT" (-14L)
+    (run_arity Config.lxfi_quarantine "ext:spin_lock()");
+  List.iter
+    (fun config ->
+      match run_arity config "ext:spin_lock()" with
+      | _ -> Alcotest.fail "expected an oops"
+      | exception Kstate.Oops _ -> ())
+    [ Config.stock; Config.lxfi ]
+
 let () =
   Klog.quiet ();
   Alcotest.run "runtime"
@@ -373,6 +427,10 @@ let () =
           Alcotest.test_case "transfer checks ownership" `Quick
             test_transfer_requires_ownership;
           Alcotest.test_case "conditional post" `Quick test_conditional_post_respects_return;
+          Alcotest.test_case "extra kexport argument ignored" `Quick
+            test_kexport_extra_argument;
+          Alcotest.test_case "missing kexport argument oopses" `Quick
+            test_kexport_missing_argument;
         ] );
       ( "wrappers",
         [

@@ -70,6 +70,60 @@ let test_max_depth_tracking () =
   ignore (Shadow_stack.pop s ~wrapper:"a" ~token:t1);
   Alcotest.(check int) "max depth recorded" 2 s.Shadow_stack.max_depth
 
+(* [depth] is a counter kept by push, pop and unwind_to; it must always
+   equal the number of frames. *)
+let check_depth s n =
+  Alcotest.(check int) "depth" n (Shadow_stack.depth s);
+  Alcotest.(check int) "frames" n (List.length s.Shadow_stack.frames)
+
+let test_depth_counter () =
+  let s = mk () in
+  check_depth s 0;
+  let toks = List.init 5 (fun i -> Shadow_stack.push s ~wrapper:(string_of_int i) ~saved_principal:None) in
+  check_depth s 5;
+  ignore (Shadow_stack.pop s ~wrapper:"4" ~token:(List.nth toks 4));
+  check_depth s 4;
+  (* a refused pop leaves the stack as it was *)
+  expect_violation (fun () -> ignore (Shadow_stack.pop s ~wrapper:"0" ~token:(List.hd toks)));
+  check_depth s 4;
+  ignore (Shadow_stack.unwind_to s ~depth:6);
+  check_depth s 4;
+  ignore (Shadow_stack.unwind_to s ~depth:1);
+  check_depth s 1;
+  ignore (Shadow_stack.unwind_to s ~depth:0);
+  check_depth s 0;
+  (* the overflowing push raises with its frame on the stack *)
+  let small = Shadow_stack.create ~mem_base:0 ~mem_len:64 in
+  expect_violation (fun () ->
+      for _ = 1 to 10 do
+        ignore (Shadow_stack.push small ~wrapper:"w" ~saved_principal:None)
+      done);
+  check_depth small 5
+
+(* A wrapper whose callee raises pops its own frame on the way out. *)
+let test_depth_after_exception_unwind () =
+  let kst = Kernel_sim.Kstate.boot () in
+  let rt = Runtime.create ~kst ~config:Config.lxfi in
+  let mi, _ =
+    Loader.load rt
+      (Mir.Parser.parse
+         {|module boom
+imports:
+func f(n) {
+  return (n / 0);
+}
+|})
+  in
+  ignore (Annot.Registry.define_exn rt.Runtime.registry ~name:"t.f" ~params:[ "n" ] ~annot_src:"");
+  Hashtbl.replace mi.Runtime.mi_func_slot "f" (Annot.Registry.find rt.Runtime.registry "t.f");
+  let outer = Shadow_stack.push rt.Runtime.sstack ~wrapper:"outer" ~saved_principal:None in
+  (match Runtime.invoke_module_function rt mi "f" [ 1L ] with
+  | _ -> Alcotest.fail "expected the callee to raise"
+  | exception Kernel_sim.Kstate.Oops _ -> ());
+  check_depth rt.Runtime.sstack 1;
+  ignore (Shadow_stack.pop rt.Runtime.sstack ~wrapper:"outer" ~token:outer);
+  check_depth rt.Runtime.sstack 0
+
 (* IRQ semantics through the runtime: an interrupt must strip module
    privileges and restore them at exit. *)
 let test_irq_save_restore () =
@@ -103,6 +157,9 @@ let () =
           Alcotest.test_case "stale token" `Quick test_stale_token_reuse;
           Alcotest.test_case "overflow" `Quick test_overflow;
           Alcotest.test_case "max depth" `Quick test_max_depth_tracking;
+          Alcotest.test_case "depth counter" `Quick test_depth_counter;
+          Alcotest.test_case "depth after exception unwind" `Quick
+            test_depth_after_exception_unwind;
         ] );
       ("irq", [ Alcotest.test_case "irq save/restore" `Quick test_irq_save_restore ]);
     ]
